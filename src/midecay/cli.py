@@ -207,12 +207,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_grid(args) -> int:
     fit = fit_mod.read_fit_json(args.fit)
-    config = sched.ScheduleConfig(
-        n_layers=max(args.layers),
-        mi_threshold=fit.threshold,
-        layer_sweep=tuple(args.layers),
-    )
-    spec = sched.build_grid(fit, config)
+    spec = sched.build_grid(fit, sched.ScheduleConfig(layer_sweep=tuple(args.layers)))
     sched.write_grid_json(spec, args.out)
     print(f"{len(spec.schedules)} candidate schedules, wrote {args.out}")
     return EXIT_OK

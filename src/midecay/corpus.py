@@ -108,7 +108,8 @@ def load_text(path, mode: str) -> Corpus:
 
     mode=byte treats the raw bytes as units, mode=char the UTF-8 decoded
     characters, mode=word the ASCII-whitespace-separated tokens. Ids are
-    assigned in first-occurrence order.
+    assigned in first-occurrence order and stored in the smallest unsigned
+    dtype that holds them.
     """
     if mode not in ("byte", "char", "word"):
         raise ValueError(f"load_text mode must be byte/char/word, got {mode!r}")
@@ -135,17 +136,15 @@ def load_text(path, mode: str) -> Corpus:
             if not words:
                 raise CorpusError(f"no words in input file: {path}")
             table: dict[str, int] = {}
-            ids = np.empty(len(words), dtype=np.int64)
-            for i, w in enumerate(words):
-                code = table.get(w)
-                if code is None:
-                    code = len(table)
-                    table[w] = code
-                ids[i] = code
+            ids = np.fromiter(
+                (table.setdefault(w, len(table)) for w in words),
+                dtype=np.int64,
+                count=len(words),
+            )
             alphabet = tuple(table)
 
     return Corpus(
-        sequences=(ids,),
+        sequences=(ids.astype(np.min_scalar_type(len(alphabet) - 1)),),
         alphabet_size=len(alphabet),
         mode=mode,
         source_meta=f"{path};mode={mode}",

@@ -8,17 +8,17 @@ dependencies only.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Corpus
 
-# above this many joint cells a dense K*K accumulator is wasteful; count sparsely
+# above this many joint cells a dense K*K accumulator is wasteful; reduce with unique
 DENSE_JOINT_LIMIT = 2**24
 
-# chunk size (elements) for the dense bincount accumulator
+# pair codes formed per row chunk (elements), bounding the int64 working set;
+# a single row longer than this is one chunk
 _CHUNK = 1 << 22
 
 BIAS_CORRECTIONS = ("none", "miller_madow")
@@ -61,9 +61,15 @@ class LagGrid:
 
 @dataclass(frozen=True)
 class PairCounts:
-    """Empirical joint counts of (symbol at t, symbol at t+lag)."""
+    """Empirical joint counts of (symbol at t, symbol at t+lag).
 
-    joint: dict[tuple[int, int], int]
+    Cell i is the pair (xs[i], ys[i]) seen counts[i] times; cells are sorted
+    by (x, y) and only nonzero cells are stored.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    counts: np.ndarray
     total_pairs: int
     lag: int
 
@@ -78,6 +84,9 @@ class DecayCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("lags", "mi", "pairs"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=np.float64))):
+                raise ValueError(f"curve {name} must be finite")
         self.lags = np.asarray(self.lags, dtype=np.int64)
         self.mi = np.asarray(self.mi, dtype=np.float64)
         self.pairs = np.asarray(self.pairs, dtype=np.int64)
@@ -115,91 +124,63 @@ def default_lag_grid(max_lag: int, dense_limit: int = 64, per_decade: int = 32) 
     return LagGrid(tuple(sorted(lags)))
 
 
-def _equal_length_matrix(corpus: Corpus) -> np.ndarray | None:
-    lengths = {s.shape[0] for s in corpus.sequences}
-    if len(lengths) == 1 and len(corpus.sequences) > 1:
-        return np.stack(corpus.sequences)
-    return None
+def _length_groups(corpus: Corpus) -> list[np.ndarray]:
+    """The sequences as one (n, L) matrix per distinct length L.
+
+    A text is one 1 x N view, an image set one n x L stack, a ragged corpus
+    several groups; pairs at lag d come from rows[:, :L-d] and rows[:, d:].
+    """
+    by_length: dict[int, list[np.ndarray]] = {}
+    for s in corpus.sequences:
+        by_length.setdefault(s.shape[0], []).append(s)
+    return [g[0][None] if len(g) == 1 else np.stack(g) for g in by_length.values()]
 
 
-def _dense_cells_matrix(matrix: np.ndarray, k: int, d: int):
-    n, length = matrix.shape
-    cols = length - d
-    if cols <= 0:
-        return None
-    flat = np.zeros(k * k, dtype=np.int64)
-    rows_per_chunk = max(1, _CHUNK // cols)
-    for i in range(0, n, rows_per_chunk):
-        a = matrix[i : i + rows_per_chunk, :cols].astype(np.int64).ravel()
-        b = matrix[i : i + rows_per_chunk, d:].ravel()
-        flat += np.bincount(a * k + b, minlength=k * k)
-    return flat
-
-
-def _dense_cells_sequences(sequences, k: int, d: int):
-    flat = np.zeros(k * k, dtype=np.int64)
-    hit = False
-    for s in sequences:
-        n = s.shape[0] - d
-        if n <= 0:
-            continue
-        hit = True
-        a = s[:n].astype(np.int64)
-        b = s[d:]
-        flat += np.bincount(a * k + b, minlength=k * k)
-    return flat if hit else None
-
-
-def _sparse_cells(sequences, d: int):
-    counter: Counter = Counter()
-    for s in sequences:
-        n = s.shape[0] - d
-        if n <= 0:
-            continue
-        counter.update(zip(s[:n].tolist(), s[d:].tolist()))
-    return counter if counter else None
-
-
-def _lag_cells(corpus: Corpus, d: int, matrix: np.ndarray | None):
+def _lag_cells(groups: list[np.ndarray], k: int, d: int):
     """Joint cell arrays (xs, ys, counts) at lag d, sorted by (x, y).
 
-    Returns None when no pairs exist at this lag. Sorting fixes the summation
-    order so MI values do not depend on how the counts were accumulated.
+    Pair codes x*K + y are formed in row chunks of about _CHUNK elements and
+    reduced with bincount while K*K <= DENSE_JOINT_LIMIT, else with unique.
+    Both yield cells in code order, which fixes the MI summation order.
     """
-    k = corpus.alphabet_size
-    if k * k <= DENSE_JOINT_LIMIT:
-        if matrix is not None:
-            flat = _dense_cells_matrix(matrix, k, d)
-        else:
-            flat = _dense_cells_sequences(corpus.sequences, k, d)
-        if flat is None:
-            return None
-        nz = np.nonzero(flat)[0]
-        if nz.size == 0:
-            return None
-        return nz // k, nz % k, flat[nz]
-    counter = _sparse_cells(corpus.sequences, d)
-    if counter is None:
-        return None
-    items = sorted(counter.items())
-    xs = np.array([x for (x, _), _ in items], dtype=np.int64)
-    ys = np.array([y for (_, y), _ in items], dtype=np.int64)
-    cs = np.array([c for _, c in items], dtype=np.int64)
-    return xs, ys, cs
+    dense = k * k <= DENSE_JOINT_LIMIT
+    flat = np.zeros(k * k if dense else 0, dtype=np.int64)
+    codes, counts = [], []
+    for rows in groups:
+        cols = rows.shape[1] - d
+        if cols <= 0:
+            continue
+        step = max(1, _CHUNK // cols)
+        for i in range(0, rows.shape[0], step):
+            chunk = rows[i : i + step]
+            code = chunk[:, :cols].astype(np.int64)
+            code *= k
+            code += chunk[:, d:]
+            if dense:
+                flat += np.bincount(code.ravel(), minlength=k * k)
+            else:
+                u, c = np.unique(code, return_counts=True)
+                codes.append(u)
+                counts.append(c)
+    if dense:
+        code = np.flatnonzero(flat)
+        cs = flat[code]
+    elif len(codes) == 1:
+        code, cs = codes[0], counts[0]
+    else:  # merge the chunks' cells; flat is empty here and stands in for no chunks
+        code, inverse = np.unique(np.concatenate([flat, *codes]), return_inverse=True)
+        cs = np.bincount(inverse, weights=np.concatenate([flat, *counts])).astype(np.int64)
+    return code // k, code % k, cs
 
 
 def count_pairs(corpus: Corpus, d: int) -> PairCounts:
     """Count (sequence[t], sequence[t+d]) pairs over all sequences."""
     if d < 1:
         raise ValueError("lag d must be >= 1")
-    cells = _lag_cells(corpus, d, _equal_length_matrix(corpus))
-    if cells is None:
+    xs, ys, cs = _lag_cells(_length_groups(corpus), corpus.alphabet_size, d)
+    if cs.size == 0:
         raise EmptyLagError(f"no pairs at lag {d} (all sequences too short)")
-    xs, ys, cs = cells
-    joint = {
-        (int(x), int(y)): int(c) for x, y, c in zip(xs.tolist(), ys.tolist(), cs.tolist())
-    }
-    return PairCounts(joint=joint, total_pairs=int(cs.sum()), lag=d)
+    return PairCounts(xs=xs, ys=ys, counts=cs, total_pairs=int(cs.sum()), lag=d)
 
 
 def _mi_and_floor(xs, ys, cs, total: int, bias_correction: str) -> tuple[float, float]:
@@ -227,11 +208,9 @@ def mi_from_counts(counts: PairCounts, config: EstimatorConfig | None = None) ->
     config = config or EstimatorConfig()
     if counts.total_pairs < 1:
         raise EmptyLagError(f"no pairs at lag {counts.lag}")
-    items = sorted(counts.joint.items())
-    xs = np.array([x for (x, _), _ in items], dtype=np.int64)
-    ys = np.array([y for (_, y), _ in items], dtype=np.int64)
-    cs = np.array([c for _, c in items], dtype=np.int64)
-    mi, _ = _mi_and_floor(xs, ys, cs, counts.total_pairs, config.bias_correction)
+    mi, _ = _mi_and_floor(
+        counts.xs, counts.ys, counts.counts, counts.total_pairs, config.bias_correction
+    )
     return mi
 
 
@@ -243,16 +222,15 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
     the result.
     """
     config = config or EstimatorConfig()
-    matrix = _equal_length_matrix(corpus)
+    groups = _length_groups(corpus)
     kept: list[tuple[int, float, int, float]] = []
     skipped: list[dict] = []
     for d in grid.lags:
-        cells = _lag_cells(corpus, d, matrix)
-        total = int(cells[2].sum()) if cells is not None else 0
+        xs, ys, cs = _lag_cells(groups, corpus.alphabet_size, d)
+        total = int(cs.sum())
         if total < config.min_pair_count:
             skipped.append({"lag": int(d), "pair_count": total})
             continue
-        xs, ys, cs = cells
         mi, floor = _mi_and_floor(xs, ys, cs, total, config.bias_correction)
         kept.append((int(d), mi, total, floor))
     if not kept:

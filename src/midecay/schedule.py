@@ -60,15 +60,9 @@ class DilationSchedule:
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    n_layers: int = 1
-    mi_threshold: float = 1e-5
     layer_sweep: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
-        if self.mi_threshold <= 0:
-            raise ValueError("mi_threshold must be > 0")
         object.__setattr__(self, "layer_sweep", tuple(int(n) for n in self.layer_sweep))
         if any(n < 1 for n in self.layer_sweep):
             raise ValueError("layer_sweep entries must be >= 1")
@@ -97,7 +91,7 @@ class GridSearchSpec:
             seen.add(s.dilations)
 
 
-def max_dilation(fit: ClassifiedFit, config: ScheduleConfig | None = None) -> MaxDilation:
+def max_dilation(fit: ClassifiedFit) -> MaxDilation:
     """Target for the largest dilation: the peak period for periodic decay,
     else the lag where MI drops below the noise threshold for good; when the
     curve never crossed, the largest sampled lag is returned as a lower bound.
@@ -305,7 +299,7 @@ def build_grid(fit: ClassifiedFit, config: ScheduleConfig) -> GridSearchSpec:
     """
     if not config.layer_sweep:
         raise ScheduleError("layer_sweep must be nonempty")
-    md = max_dilation(fit, config)
+    md = max_dilation(fit)
     schedules: list[DilationSchedule] = []
 
     if fit.decay_class is DecayClass.EXPONENTIAL:

@@ -27,6 +27,14 @@ def naive_pair_counts(seqs, d):
     return joint
 
 
+def joint_dict(pc):
+    """A PairCounts' cell arrays as a {(x, y): count} dict, for the oracles."""
+    return {
+        (int(x), int(y)): int(c)
+        for x, y, c in zip(pc.xs.tolist(), pc.ys.tolist(), pc.counts.tolist())
+    }
+
+
 def naive_mi(joint):
     """Plug-in MI in nats from a joint count dict."""
     n = sum(joint.values())

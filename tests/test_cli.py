@@ -162,6 +162,18 @@ class TestFitCommand:
         )
         assert main(["fit", "--curve", str(small), "--out", str(tmp_path / "f.json")]) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_mi_is_data_error(self, tmp_path, capsys, value):
+        rows = [f"{d},{0.5 / d},1000" for d in range(1, 40)]
+        rows[20] = f"21,{value},1000"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("lag,mi_nats,pair_count\n" + "\n".join(rows) + "\n")
+        assert main(["fit", "--curve", str(bad), "--out", str(tmp_path / "f.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("midecay: error:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "f.json").exists()
+
 
 class TestScheduleCommand:
     @pytest.fixture()

@@ -84,6 +84,34 @@ class TestLoadText:
         assert a.alphabet == b.alphabet
         assert np.array_equal(a.sequences[0], b.sequences[0])
 
+    @pytest.mark.parametrize(
+        "data, mode, dtype",
+        [
+            (b"abcab", "byte", np.uint8),
+            ("h\u00e9h\u00e9!".encode("utf-8"), "char", np.uint8),
+            (b"the cat the dog", "word", np.uint8),
+            (" ".join(f"w{i}" for i in range(300)).encode(), "word", np.uint16),
+        ],
+    )
+    def test_ids_stored_in_smallest_unsigned_dtype(self, tmp_path, data, mode, dtype):
+        c = load_text(write_bytes(tmp_path, "t.txt", data), mode)
+        assert c.sequences[0].dtype == dtype
+
+    def test_small_dtype_leaves_decay_curve_unchanged(self, tmp_path):
+        from midecay import EstimatorConfig, decay_curve, default_lag_grid
+
+        rng = np.random.default_rng(3)
+        words = [f"w{v}" for v in rng.zipf(1.5, 6000)]
+        p = write_bytes(tmp_path, "t.txt", " ".join(words).encode())
+        c = load_text(p, "word")
+        wide = Corpus((c.sequences[0].astype(np.int64),), c.alphabet_size, "word")
+        grid, config = default_lag_grid(100), EstimatorConfig(min_pair_count=1)
+        a, b = decay_curve(c, grid, config), decay_curve(wide, grid, config)
+        assert c.sequences[0].dtype == np.uint16
+        assert a.lags.tolist() == b.lags.tolist()
+        assert a.mi.tolist() == b.mi.tolist()
+        assert a.pairs.tolist() == b.pairs.tolist()
+
 
 class TestIdx:
     def test_round_trip(self, tmp_path):

@@ -1,6 +1,7 @@
 """Pair counting, plug-in MI, decay curves, lag grids, CSV round trips."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from midecay import (
     default_lag_grid,
     mi_from_counts,
 )
+from midecay import estimator
 from tests.conftest import (
     corpus_from_lists,
+    joint_dict,
     naive_mi,
     naive_mi_miller_madow,
     naive_pair_counts,
@@ -40,6 +43,8 @@ def small_corpora(draw):
         draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=64))
         for _ in range(n_seq)
     ]
+    if n_seq > 1 and draw(st.booleans()):  # equal lengths form one stacked group
+        seqs = [s[: min(len(s) for s in seqs)] for s in seqs]
     max_len = max(len(s) for s in seqs)
     d = draw(st.integers(1, max_len - 1))
     return seqs, k, d
@@ -49,13 +54,13 @@ class TestCountPairs:
     def test_alternation_counts(self):
         c = corpus_from_lists([[0, 1, 0, 1]], 2)
         pc = count_pairs(c, 1)
-        assert pc.joint == {(0, 1): 2, (1, 0): 1}
+        assert joint_dict(pc) == {(0, 1): 2, (1, 0): 1}
         assert pc.total_pairs == 3
 
     def test_no_cross_boundary_pairs(self):
         c = corpus_from_lists([[0, 1], [1, 0]], 2)
         pc = count_pairs(c, 1)
-        assert pc.joint == {(0, 1): 1, (1, 0): 1}
+        assert joint_dict(pc) == {(0, 1): 1, (1, 0): 1}
         assert pc.total_pairs == 2
 
     def test_lag_too_large_for_every_sequence(self):
@@ -64,7 +69,7 @@ class TestCountPairs:
             count_pairs(c, 5)
 
     def test_lag_too_large_on_equal_length_stack(self):
-        # equal-length corpora take the stacked fast path
+        # equal-length corpora are counted as one stacked length group
         c = corpus_from_lists([[0, 1, 0]] * 4, 2)
         with pytest.raises(EmptyLagError):
             count_pairs(c, 3)
@@ -72,7 +77,7 @@ class TestCountPairs:
     def test_lag_covered_by_longest_sequence_only(self):
         c = corpus_from_lists([[0, 1], [0, 0, 0, 1]], 2)
         pc = count_pairs(c, 3)
-        assert pc.joint == {(0, 1): 1}
+        assert joint_dict(pc) == {(0, 1): 1}
 
     def test_invalid_lag(self):
         c = corpus_from_lists([[0, 1]], 2)
@@ -91,7 +96,7 @@ class TestCountPairs:
             return
         pc = count_pairs(c, d)
         assert pc.total_pairs == expected
-        assert sum(pc.joint.values()) == pc.total_pairs
+        assert sum(pc.counts.tolist()) == pc.total_pairs
 
     @settings(max_examples=200, deadline=None)
     @given(small_corpora())
@@ -103,7 +108,7 @@ class TestCountPairs:
             with pytest.raises(EmptyLagError):
                 count_pairs(c, d)
             return
-        assert count_pairs(c, d).joint == joint
+        assert joint_dict(count_pairs(c, d)) == joint
 
 
 class TestMi:
@@ -128,7 +133,8 @@ class TestMi:
         from midecay.estimator import PairCounts
 
         with pytest.raises(EmptyLagError):
-            mi_from_counts(PairCounts(joint={}, total_pairs=0, lag=3))
+            empty = np.zeros(0, dtype=np.int64)
+            mi_from_counts(PairCounts(empty, empty, empty, total_pairs=0, lag=3))
 
     @settings(max_examples=300, deadline=None)
     @given(small_corpora())
@@ -257,14 +263,38 @@ class TestDecayCurve:
             expected = max(0.0, naive_mi(naive_pair_counts(seqs, d)))
             assert abs(mi_from_counts(count_pairs(c, d)) - expected) < 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_corpora(), st.sampled_from([1, 5, estimator._CHUNK]))
+    def test_bincount_and_unique_reductions_agree(self, case, chunk):
+        seqs, k, d = case
+        joint = naive_pair_counts(seqs, d)
+        if not joint:
+            return
+        c = corpus_from_lists(seqs, k)
+        runs = []
+        # K*K <= limit reduces with bincount, one below it with unique
+        for limit in (k * k, k * k - 1):
+            with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", limit), \
+                    mock.patch.object(estimator, "_CHUNK", chunk):
+                pc = count_pairs(c, d)
+                curve = decay_curve(c, LagGrid((d,)), EstimatorConfig(min_pair_count=1))
+            runs.append((pc, mi_from_counts(pc), curve.mi.tolist()))
+        (dense, dense_mi, dense_curve), (sparse, sparse_mi, sparse_curve) = runs
+        for name in ("xs", "ys", "counts"):
+            a, b = getattr(dense, name), getattr(sparse, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert dense_mi == sparse_mi and dense_curve == sparse_curve == [dense_mi]
+        assert joint_dict(dense) == joint
+        assert abs(dense_mi - max(0.0, naive_mi(joint))) < 1e-12
+
     def test_sparse_counting_path_matches_naive(self):
-        # alphabet large enough to force the sparse counter path
+        # alphabet large enough to force the np.unique reduction
         rng = np.random.default_rng(12)
         k = 5000
         seqs = [rng.integers(0, k, 400).tolist()]
         c = corpus_from_lists(seqs, k, mode="word")
         pc = count_pairs(c, 2)
-        assert pc.joint == naive_pair_counts(seqs, 2)
+        assert joint_dict(pc) == naive_pair_counts(seqs, 2)
         expected = naive_mi(naive_pair_counts(seqs, 2))
         assert abs(mi_from_counts(pc) - expected) < 1e-12
 
