@@ -51,13 +51,13 @@ from .schedule import (
     DilationSchedule,
     GridSearchSpec,
     MaxDilation,
-    ScheduleConfig,
     ScheduleError,
     build_grid,
     capped_standard_dilations,
     intercept_dilations,
     max_dilation,
     read_grid_json,
+    schedule_for,
     standard_dilations,
     write_grid_json,
 )

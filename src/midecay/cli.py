@@ -6,13 +6,14 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 
 from . import corpus as corpus_mod
 from . import estimator as est
 from . import fit as fit_mod
 from . import schedule as sched
+from .jsonio import from_dict, read_json, to_dict, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,8 +51,8 @@ def _nonnegative_int(text):
 
 def _positive_float(text):
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
     return value
 
 
@@ -144,9 +145,7 @@ def cmd_analyze(args) -> int:
             "curve_csv": str(args.out),
         }
     )
-    with open(f"{args.out}.meta.json", "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(sidecar, f"{args.out}.meta.json")
     n_skipped = len(curve.meta["skipped_lags"])
     if n_skipped:
         print(
@@ -160,8 +159,9 @@ def cmd_analyze(args) -> int:
 def cmd_fit(args) -> int:
     curve = est.curve_from_csv(args.curve)
     try:
-        with open(f"{args.curve}.meta.json", "r", encoding="utf-8") as f:
-            curve.meta = json.load(f)
+        curve.meta = read_json(
+            f"{args.curve}.meta.json", lambda doc: from_dict(dict, doc), est.EstimationError
+        )
     except FileNotFoundError:
         pass
     fit = fit_mod.classify(curve, threshold=args.threshold)
@@ -173,41 +173,22 @@ def cmd_fit(args) -> int:
 def cmd_schedule(args) -> int:
     fit = fit_mod.read_fit_json(args.fit)
     md = sched.max_dilation(fit)
-    if fit.decay_class is fit_mod.DecayClass.EXPONENTIAL:
-        schedule = sched.capped_standard_dilations(args.layers, md.value)
-    elif args.layers == 1:
-        schedule = sched.standard_dilations(1)
-    else:
-        try:
-            schedule = sched.intercept_dilations(fit, args.layers, md.value)
-        except sched.ScheduleError:
-            if (
-                fit.decay_class is not fit_mod.DecayClass.POWER_LAW_PERIODIC
-                or args.layers > md.value
-            ):
-                raise
-            # flat periodic curves have no decay to invert; the period still
-            # caps a standard progression
-            schedule = sched.capped_standard_dilations(args.layers, md.value)
+    schedule = sched.schedule_for(fit, args.layers)
     payload = {
+        **to_dict(schedule),
         "decay_class": fit.decay_class.value,
         "max_dilation": md.value,
         "max_dilation_is_lower_bound": md.is_lower_bound,
-        "dilations": list(schedule.dilations),
-        "origin": schedule.origin,
-        "rationale": schedule.rationale,
         "fit_json": str(args.fit),
     }
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(payload, args.out)
     print(f"dilations {','.join(str(v) for v in schedule.dilations)}, wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_grid(args) -> int:
     fit = fit_mod.read_fit_json(args.fit)
-    spec = sched.build_grid(fit, sched.ScheduleConfig(layer_sweep=tuple(args.layers)))
+    spec = sched.build_grid(fit, args.layers)
     sched.write_grid_json(spec, args.out)
     print(f"{len(spec.schedules)} candidate schedules, wrote {args.out}")
     return EXIT_OK

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import atomic_open
+
 IDX_IMAGE_MAGIC = 0x00000803
 
 MODES = ("byte", "char", "word", "pixel")
@@ -183,7 +185,7 @@ def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:
     images = np.ascontiguousarray(images, dtype=np.uint8)
     if images.ndim != 2 or images.shape[1] != rows * cols:
         raise ValueError("images must have shape (count, rows*cols)")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, images.shape[0], rows, cols))
         f.write(images.tobytes())
 

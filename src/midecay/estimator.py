@@ -7,18 +7,20 @@ dependencies only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Corpus
+from .jsonio import atomic_open
 
 # above this many joint cells a dense K*K accumulator is wasteful; reduce with unique
 DENSE_JOINT_LIMIT = 2**24
 
-# pair codes formed per row chunk (elements), bounding the int64 working set;
-# a single row longer than this is one chunk
+# pair codes formed per chunk of rows or, for rows longer than this, of
+# columns (elements), bounding the int64 working set
 _CHUNK = 1 << 22
 
 BIAS_CORRECTIONS = ("none", "miller_madow")
@@ -139,8 +141,9 @@ def _length_groups(corpus: Corpus) -> list[np.ndarray]:
 def _lag_cells(groups: list[np.ndarray], k: int, d: int):
     """Joint cell arrays (xs, ys, counts) at lag d, sorted by (x, y).
 
-    Pair codes x*K + y are formed in row chunks of about _CHUNK elements and
-    reduced with bincount while K*K <= DENSE_JOINT_LIMIT, else with unique.
+    Pair codes x*K + y are formed in chunks of at most _CHUNK elements (whole
+    rows, or column spans of a longer row) and reduced with bincount while
+    K*K <= DENSE_JOINT_LIMIT, else with unique.
     Both yield cells in code order, which fixes the MI summation order.
     """
     dense = k * k <= DENSE_JOINT_LIMIT
@@ -150,10 +153,10 @@ def _lag_cells(groups: list[np.ndarray], k: int, d: int):
         cols = rows.shape[1] - d
         if cols <= 0:
             continue
-        step = max(1, _CHUNK // cols)
-        for i in range(0, rows.shape[0], step):
-            chunk = rows[i : i + step]
-            code = chunk[:, :cols].astype(np.int64)
+        step, width = max(1, _CHUNK // cols), min(cols, _CHUNK)
+        for i, j in itertools.product(range(0, rows.shape[0], step), range(0, cols, width)):
+            chunk = rows[i : i + step, j : j + width + d]
+            code = chunk[:, : chunk.shape[1] - d].astype(np.int64)
             code *= k
             code += chunk[:, d:]
             if dense:
@@ -257,7 +260,7 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
 
 def curve_to_csv(curve: DecayCurve, path) -> None:
     """Write `lag,mi_nats,pair_count` rows, MI at full float precision."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_open(path, encoding="utf-8", newline="") as f:
         f.write("lag,mi_nats,pair_count\n")
         for d, m, c in curve.points():
             f.write(f"{d},{m:.17g},{c}\n")

@@ -9,7 +9,7 @@ on the fit.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .estimator import DecayCurve
+from .jsonio import from_dict, read_json, to_dict, write_json
 
 DEFAULT_NOISE_THRESHOLD = 1e-5
 
@@ -120,6 +121,13 @@ class ClassifiedFit:
                 raise ValueError(f"{self.decay_class.value} fit requires {name}")
             if name not in needed and have:
                 raise ValueError(f"{self.decay_class.value} fit must not carry {name}")
+        # the crossing, the break and the period are sampled lags of the curve
+        lags = (self.noise_crossing_d, self.broken and self.broken.break_d,
+                self.periodicity and self.periodicity.period)
+        if not 1 <= self.max_lag < 2**63 or any(
+            d is not None and not 1 <= d <= self.max_lag for d in lags
+        ):
+            raise ValueError("fit lags must lie in [1, max_lag], max_lag below 2**63")
 
 
 def _usable(curve: DecayCurve, d_range: tuple[int, int] | None):
@@ -397,127 +405,9 @@ def classify(
     return ClassifiedFit(DecayClass.POWER_LAW, power=power, **common)
 
 
-def _power_to_dict(fit: PowerLawFit | None):
-    if fit is None:
-        return None
-    return {
-        "slope": fit.slope,
-        "log_intercept": fit.log_intercept,
-        "r2": fit.r2,
-        "d_range": list(fit.d_range),
-        "n_points": fit.n_points,
-        "n_excluded": fit.n_excluded,
-    }
-
-
-def _power_from_dict(d) -> PowerLawFit | None:
-    if d is None:
-        return None
-    return PowerLawFit(
-        slope=d["slope"],
-        log_intercept=d["log_intercept"],
-        r2=d["r2"],
-        d_range=tuple(d["d_range"]),
-        n_points=d["n_points"],
-        n_excluded=d.get("n_excluded", 0),
-    )
-
-
-def fit_to_dict(fit: ClassifiedFit) -> dict:
-    return {
-        "decay_class": fit.decay_class.value,
-        "max_lag": fit.max_lag,
-        "threshold": fit.threshold,
-        "power": _power_to_dict(fit.power),
-        "broken": None
-        if fit.broken is None
-        else {
-            "break_d": fit.broken.break_d,
-            "left": _power_to_dict(fit.broken.left),
-            "right": _power_to_dict(fit.broken.right),
-            "improvement": fit.broken.improvement,
-        },
-        "expo": None
-        if fit.expo is None
-        else {
-            "rate": fit.expo.rate,
-            "log_intercept": fit.expo.log_intercept,
-            "r2": fit.expo.r2,
-            "d_range": list(fit.expo.d_range),
-            "n_points": fit.expo.n_points,
-            "n_excluded": fit.expo.n_excluded,
-            "decaying": fit.expo.decaying,
-        },
-        "periodicity": None
-        if fit.periodicity is None
-        else {
-            "period": fit.periodicity.period,
-            "peak_lags": list(fit.periodicity.peak_lags),
-            "prominence": fit.periodicity.prominence,
-        },
-        "noise_crossing_d": fit.noise_crossing_d,
-        "crossing_low_confidence": fit.crossing_low_confidence,
-        "curve_meta": fit.curve_meta,
-    }
-
-
-def fit_from_dict(d: dict) -> ClassifiedFit:
-    broken = None
-    if d.get("broken") is not None:
-        b = d["broken"]
-        broken = BrokenPowerLawFit(
-            break_d=b["break_d"],
-            left=_power_from_dict(b["left"]),
-            right=_power_from_dict(b["right"]),
-            improvement=b["improvement"],
-        )
-    expo = None
-    if d.get("expo") is not None:
-        e = d["expo"]
-        expo = ExponentialFit(
-            rate=e["rate"],
-            log_intercept=e["log_intercept"],
-            r2=e["r2"],
-            d_range=tuple(e["d_range"]),
-            n_points=e["n_points"],
-            n_excluded=e.get("n_excluded", 0),
-            decaying=e.get("decaying", True),
-        )
-    periodicity = None
-    if d.get("periodicity") is not None:
-        p = d["periodicity"]
-        periodicity = PeriodicitySignature(
-            period=p["period"],
-            peak_lags=tuple(p["peak_lags"]),
-            prominence=p["prominence"],
-        )
-    return ClassifiedFit(
-        decay_class=DecayClass(d["decay_class"]),
-        max_lag=d["max_lag"],
-        threshold=d.get("threshold", DEFAULT_NOISE_THRESHOLD),
-        power=_power_from_dict(d.get("power")),
-        broken=broken,
-        expo=expo,
-        periodicity=periodicity,
-        noise_crossing_d=d.get("noise_crossing_d"),
-        crossing_low_confidence=d.get("crossing_low_confidence", False),
-        curve_meta=d.get("curve_meta"),
-    )
-
-
 def write_fit_json(fit: ClassifiedFit, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(fit_to_dict(fit), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(to_dict(fit), path)
 
 
 def read_fit_json(path) -> ClassifiedFit:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FitError(f"{path}: invalid fit JSON: {exc}") from exc
-    try:
-        return fit_from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FitError(f"{path}: invalid fit document: {exc}") from exc
+    return read_json(path, functools.partial(from_dict, ClassifiedFit), FitError)

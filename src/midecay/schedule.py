@@ -8,18 +8,11 @@ segment therefore receives denser dilations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
-from .fit import (
-    BrokenPowerLawFit,
-    ClassifiedFit,
-    DecayClass,
-    PowerLawFit,
-    fit_from_dict,
-    fit_to_dict,
-)
+from .fit import ClassifiedFit, DecayClass
+from .jsonio import from_dict, read_json, to_dict, write_json
 
 GRID_FORMAT_VERSION = 1
 
@@ -48,24 +41,6 @@ class DilationSchedule:
         if self.origin not in (ORIGIN_STANDARD, ORIGIN_CURVE_FITTED):
             raise ValueError(f"unknown origin {self.origin!r}")
         object.__setattr__(self, "dilations", dil)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.dilations)
-
-    @property
-    def max_dilation(self) -> int:
-        return self.dilations[-1]
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    layer_sweep: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "layer_sweep", tuple(int(n) for n in self.layer_sweep))
-        if any(n < 1 for n in self.layer_sweep):
-            raise ValueError("layer_sweep entries must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -232,7 +207,7 @@ def intercept_dilations(fit: ClassifiedFit, n_layers: int, d_max: int) -> Dilati
     model = _PiecewisePowerModel.from_fit(fit, d_max)
     top = model.log_mi(1.0)
     bottom = model.log_mi(float(d_max))
-    if bottom >= top:
+    if not -math.inf < bottom < top:
         raise ScheduleError("fitted model does not decay between 1 and d_max")
     step = (bottom - top) / (n_layers - 1)
     targets = [model.solve(top + k * step) for k in range(n_layers)]
@@ -288,27 +263,48 @@ def _hybrid_standard_then_sparse(break_d: int, d_max: int) -> DilationSchedule:
     )
 
 
-def build_grid(fit: ClassifiedFit, config: ScheduleConfig) -> GridSearchSpec:
-    """Candidate schedule family for a grid search.
+def schedule_for(fit: ClassifiedFit, n_layers: int) -> DilationSchedule:
+    """The one schedule for a fit and a layer count.
 
-    Standard schedules cover every layer count in the sweep (capped at the max
-    dilation for exponential decay, which gets no curve-fitted schedules);
-    decaying power-law fits additionally contribute curve-fitted schedules,
-    and broken fits the two hybrid patterns. Duplicates are dropped, keeping
-    first occurrence.
+    Exponential decay gets the standard progression capped at the max
+    dilation, a single layer gets [1], and every other fit the curve-fitted
+    intercept schedule. A flat periodic curve has no decay to invert; its
+    period then caps a standard progression instead.
     """
-    if not config.layer_sweep:
+    d_max = max_dilation(fit).value
+    if fit.decay_class is DecayClass.EXPONENTIAL:
+        return capped_standard_dilations(n_layers, d_max)
+    if n_layers == 1:
+        return standard_dilations(1)
+    try:
+        return intercept_dilations(fit, n_layers, d_max)
+    except ScheduleError:
+        if fit.decay_class is not DecayClass.POWER_LAW_PERIODIC or n_layers > d_max:
+            raise
+        return capped_standard_dilations(n_layers, d_max)
+
+
+def build_grid(fit: ClassifiedFit, layer_sweep) -> GridSearchSpec:
+    """Candidate schedule family for a grid search over the layer counts in
+    layer_sweep.
+
+    Exponential decay gets schedule_for's capped standard schedule for every
+    layer count and no curve-fitted ones. Other fits get the standard
+    schedule for every layer count, plus the curve-fitted schedule where it
+    exists, plus the two hybrid patterns for broken fits. Duplicates are
+    dropped, keeping first occurrence.
+    """
+    layer_sweep = tuple(layer_sweep)
+    if not layer_sweep:
         raise ScheduleError("layer_sweep must be nonempty")
     md = max_dilation(fit)
     schedules: list[DilationSchedule] = []
 
     if fit.decay_class is DecayClass.EXPONENTIAL:
-        for n in config.layer_sweep:
-            schedules.append(capped_standard_dilations(n, md.value))
+        schedules.extend(schedule_for(fit, n) for n in layer_sweep)
     else:
-        for n in config.layer_sweep:
-            schedules.append(standard_dilations(n))
-        for n in config.layer_sweep:
+        schedules.extend(standard_dilations(n) for n in layer_sweep)
+        for n in layer_sweep:
             if n < 2 or n > md.value:
                 continue
             try:
@@ -319,73 +315,40 @@ def build_grid(fit: ClassifiedFit, config: ScheduleConfig) -> GridSearchSpec:
             schedules.append(_hybrid_dense_then_standard(fit.broken.break_d, md.value))
             schedules.append(_hybrid_standard_then_sparse(fit.broken.break_d, md.value))
 
-    unique: list[DilationSchedule] = []
-    seen = set()
+    unique: dict[tuple[int, ...], DilationSchedule] = {}
     for s in schedules:
-        if s.dilations not in seen:
-            seen.add(s.dilations)
-            unique.append(s)
-    dataset_meta = ""
-    if fit.curve_meta:
-        dataset_meta = str(fit.curve_meta.get("source_meta", ""))
+        unique.setdefault(s.dilations, s)
+    dataset_meta = str((fit.curve_meta or {}).get("source_meta", ""))
     return GridSearchSpec(
-        schedules=unique, evidence=fit, dataset_meta=dataset_meta, max_dilation=md
+        schedules=list(unique.values()), evidence=fit, dataset_meta=dataset_meta, max_dilation=md
     )
 
 
 def grid_to_dict(spec: GridSearchSpec) -> dict:
+    """The spec's fields, with max_dilation flattened into two top-level keys."""
+    d = to_dict(spec)
+    md = d.pop("max_dilation")
     return {
+        **d,
         "format_version": GRID_FORMAT_VERSION,
-        "dataset_meta": spec.dataset_meta,
         "decay_class": spec.evidence.decay_class.value,
-        "max_dilation": spec.max_dilation.value,
-        "max_dilation_is_lower_bound": spec.max_dilation.is_lower_bound,
-        "evidence": fit_to_dict(spec.evidence),
-        "schedules": [
-            {
-                "dilations": list(s.dilations),
-                "origin": s.origin,
-                "rationale": s.rationale,
-            }
-            for s in spec.schedules
-        ],
+        "max_dilation": md["value"],
+        "max_dilation_is_lower_bound": md["is_lower_bound"],
     }
 
 
 def grid_from_dict(d: dict) -> GridSearchSpec:
-    if d.get("format_version") != GRID_FORMAT_VERSION:
-        raise ScheduleError(f"unsupported grid format_version {d.get('format_version')!r}")
-    return GridSearchSpec(
-        schedules=[
-            DilationSchedule(
-                dilations=tuple(s["dilations"]),
-                origin=s["origin"],
-                rationale=s.get("rationale", ""),
-            )
-            for s in d["schedules"]
-        ],
-        evidence=fit_from_dict(d["evidence"]),
-        dataset_meta=d.get("dataset_meta", ""),
-        max_dilation=MaxDilation(
-            value=d["max_dilation"],
-            is_lower_bound=d.get("max_dilation_is_lower_bound", False),
-        ),
-    )
+    version = d.get("format_version") if isinstance(d, dict) else None
+    if version != GRID_FORMAT_VERSION:
+        raise ScheduleError(f"unsupported grid format_version {version!r}")
+    flat = {"max_dilation": "value", "max_dilation_is_lower_bound": "is_lower_bound"}
+    md = {name: d[key] for key, name in flat.items() if key in d}
+    return from_dict(GridSearchSpec, {**d, "max_dilation": md})
 
 
 def write_grid_json(spec: GridSearchSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(grid_to_dict(spec), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(grid_to_dict(spec), path)
 
 
 def read_grid_json(path) -> GridSearchSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ScheduleError(f"{path}: invalid grid JSON: {exc}") from exc
-    try:
-        return grid_from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScheduleError(f"{path}: invalid grid document: {exc}") from exc
+    return read_json(path, grid_from_dict, ScheduleError)

@@ -16,7 +16,6 @@ from midecay import (
     Corpus,
     EstimatorConfig,
     PermutationSpec,
-    ScheduleConfig,
     build_grid,
     classify,
     count_pairs,
@@ -350,7 +349,7 @@ class TestCriterion10GridReproduction:
             power=PowerLawFit(-0.8, math.log(0.3), 0.9, (1, 783), 90),
             periodicity=PeriodicitySignature(28, (28, 56), 0.2),
         )
-        spec = build_grid(fit, ScheduleConfig(layer_sweep=range(4, 10)))
+        spec = build_grid(fit, range(4, 10))
         standards = {s.dilations for s in spec.schedules if s.origin == "standard"}
         assert standards == {
             tuple(2**i for i in range(n)) for n in range(4, 10)
@@ -364,7 +363,7 @@ class TestCriterion10GridReproduction:
             expo=ExponentialFit(0.01, math.log(1e-3), 0.99, (300, 783), 20),
             noise_crossing_d=780,
         )
-        spec = build_grid(fit, ScheduleConfig(layer_sweep=range(7, 12)))
+        spec = build_grid(fit, range(7, 12))
         rows = [s.dilations for s in spec.schedules]
         assert (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 780) in rows
         assert spec.max_dilation.value == 780

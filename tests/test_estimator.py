@@ -1,6 +1,7 @@
 """Pair counting, plug-in MI, decay curves, lag grids, CSV round trips."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midecay import (
+    Corpus,
     EmptyLagError,
     EstimationError,
     EstimatorConfig,
@@ -297,6 +299,28 @@ class TestDecayCurve:
         assert joint_dict(pc) == naive_pair_counts(seqs, 2)
         expected = naive_mi(naive_pair_counts(seqs, 2))
         assert abs(mi_from_counts(pc) - expected) < 1e-12
+
+    def test_row_longer_than_chunk_matches_naive(self):
+        # one text longer than _CHUNK is counted in column spans
+        rng = np.random.default_rng(15)
+        seqs = [rng.integers(0, 6, 30_000).tolist()]
+        c = corpus_from_lists(seqs, 6)
+        with mock.patch.object(estimator, "_CHUNK", 1_000):
+            for d in (1, 7, 999, 1_000, 1_001, 29_999):
+                assert joint_dict(count_pairs(c, d)) == naive_pair_counts(seqs, d)
+
+    def test_row_longer_than_chunk_bounds_memory(self):
+        # the int64 pair codes of a 1M-symbol text would take 8 MB at once
+        seq = np.random.default_rng(16).integers(0, 60, 1_000_000).astype(np.uint8)
+        c = Corpus(sequences=(seq,), alphabet_size=60, mode="byte")
+        with mock.patch.object(estimator, "_CHUNK", 10_000):
+            tracemalloc.start()
+            try:
+                count_pairs(c, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_bias_floor_reported(self):
         rng = np.random.default_rng(13)

@@ -19,13 +19,13 @@ from midecay import (
     noise_crossing,
 )
 from midecay.fit import (
+    ClassifiedFit,
     DecayClass,
     crossing_low_confidence,
-    fit_from_dict,
-    fit_to_dict,
     read_fit_json,
     write_fit_json,
 )
+from midecay.jsonio import from_dict, to_dict
 from tests.conftest import make_curve, naive_ols, pattern_corpus
 
 GRID_1000 = np.array(default_lag_grid(1000).lags, dtype=float)
@@ -346,7 +346,7 @@ class TestFitJson:
 
     def test_dict_round_trip(self):
         fit = classify(broken_curve(noise=0.03, seed=10))
-        assert fit_from_dict(fit_to_dict(fit)) == fit
+        assert from_dict(ClassifiedFit, to_dict(fit)) == fit
 
     def test_invalid_json_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

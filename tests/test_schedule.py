@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from midecay import (
-    ScheduleConfig,
     ScheduleError,
     build_grid,
     capped_standard_dilations,
     intercept_dilations,
     max_dilation,
+    schedule_for,
     standard_dilations,
 )
 from midecay.fit import (
@@ -201,9 +201,51 @@ class TestDilationScheduleType:
             DilationSchedule((), "standard")
 
 
+class TestScheduleFor:
+    def test_exponential_gets_capped_standard(self):
+        s = schedule_for(exponential_fit(crossing=780), 12)
+        assert s.dilations == (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 780)
+        assert s.origin == "standard"
+
+    def test_single_layer(self):
+        for fit in (power_fit(crossing=100), broken_fit(), periodic_fit()):
+            assert schedule_for(fit, 1).dilations == (1,)
+
+    def test_power_law_gets_intercept_schedule(self):
+        assert schedule_for(power_fit(crossing=256), 9) == intercept_dilations(
+            power_fit(crossing=256), 9, 256
+        )
+
+    def test_flat_periodic_falls_back_to_capped_standard(self):
+        flat = ClassifiedFit(
+            decay_class=DecayClass.POWER_LAW_PERIODIC,
+            max_lag=783,
+            power=PowerLawFit(0.05, math.log(0.3), 0.1, (1, 783), 90),
+            periodicity=PeriodicitySignature(28, (28, 56), 0.2),
+        )
+        assert schedule_for(flat, 6).dilations == (1, 2, 4, 8, 16, 28)
+        with pytest.raises(ScheduleError):
+            schedule_for(flat, 29)  # more layers than the period allows
+
+    def test_flat_power_law_has_no_fallback(self):
+        flat = ClassifiedFit(
+            decay_class=DecayClass.POWER_LAW,
+            max_lag=100,
+            power=PowerLawFit(0.2, 0.0, 0.5, (1, 100), 30),
+        )
+        with pytest.raises(ScheduleError, match="non-decaying"):
+            schedule_for(flat, 4)
+
+    def test_grid_uses_it_for_exponential_fits(self):
+        fit = exponential_fit(crossing=300)
+        spec = build_grid(fit, range(2, 12))
+        expected = {schedule_for(fit, n).dilations for n in range(2, 12)}
+        assert {s.dilations for s in spec.schedules} == expected
+
+
 class TestBuildGrid:
     def test_periodic_fit_standard_family(self):
-        spec = build_grid(periodic_fit(period=28), ScheduleConfig(layer_sweep=range(4, 10)))
+        spec = build_grid(periodic_fit(period=28), range(4, 10))
         standards = {s.dilations for s in spec.schedules if s.origin == "standard"}
         assert standards == {
             (1, 2, 4, 8),
@@ -219,7 +261,7 @@ class TestBuildGrid:
         assert spec.max_dilation.value == 28
 
     def test_exponential_fit_capped_family(self):
-        spec = build_grid(exponential_fit(crossing=780), ScheduleConfig(layer_sweep=range(7, 12)))
+        spec = build_grid(exponential_fit(crossing=780), range(7, 12))
         rows = {s.dilations for s in spec.schedules}
         assert rows == {
             (1, 2, 4, 8, 16, 32, 64),
@@ -230,7 +272,7 @@ class TestBuildGrid:
         }
 
     def test_broken_adds_hybrids(self):
-        spec = build_grid(broken_fit(), ScheduleConfig(layer_sweep=[7, 8, 12]))
+        spec = build_grid(broken_fit(), [7, 8, 12])
         rationales = " | ".join(s.rationale for s in spec.schedules)
         assert "unit steps up to the break" in rationales
         assert "sparse" in rationales
@@ -239,27 +281,31 @@ class TestBuildGrid:
                 assert s.dilations[-1] <= spec.max_dilation.value
 
     def test_single_layer_sweep_degenerate(self):
-        spec = build_grid(power_fit(crossing=100), ScheduleConfig(layer_sweep=[1]))
+        spec = build_grid(power_fit(crossing=100), [1])
         assert [s.dilations for s in spec.schedules] == [(1,)]
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ScheduleError, match="layer_sweep"):
-            build_grid(power_fit(crossing=100), ScheduleConfig(layer_sweep=[]))
+            build_grid(power_fit(crossing=100), [])
+
+    def test_sweep_entries_validated(self):
+        for fit in (power_fit(crossing=100), exponential_fit()):
+            with pytest.raises(ScheduleError, match="n_layers"):
+                build_grid(fit, [3, 0])
 
     def test_no_duplicate_schedules(self):
-        spec = build_grid(power_fit(crossing=64), ScheduleConfig(layer_sweep=range(1, 10)))
+        spec = build_grid(power_fit(crossing=64), range(1, 10))
         dilations = [s.dilations for s in spec.schedules]
         assert len(dilations) == len(set(dilations))
 
     def test_determinism(self):
-        cfg = ScheduleConfig(layer_sweep=range(4, 10))
-        a = build_grid(broken_fit(), cfg)
-        b = build_grid(broken_fit(), cfg)
+        a = build_grid(broken_fit(), range(4, 10))
+        b = build_grid(broken_fit(), range(4, 10))
         assert [s.dilations for s in a.schedules] == [s.dilations for s in b.schedules]
 
     def test_invariants_on_every_schedule(self):
         for fit in (periodic_fit(), broken_fit(), exponential_fit(), power_fit(crossing=500)):
-            spec = build_grid(fit, ScheduleConfig(layer_sweep=range(2, 12)))
+            spec = build_grid(fit, range(2, 12))
             for s in spec.schedules:
                 assert s.dilations[0] == 1
                 assert all(b > a for a, b in zip(s.dilations, s.dilations[1:]))
@@ -269,7 +315,7 @@ class TestBuildGrid:
 
 class TestGridJson:
     def test_round_trip(self, tmp_path):
-        spec = build_grid(broken_fit(), ScheduleConfig(layer_sweep=[4, 8, 12]))
+        spec = build_grid(broken_fit(), [4, 8, 12])
         path = tmp_path / "grid.json"
         write_grid_json(spec, path)
         back = read_grid_json(path)
@@ -280,7 +326,7 @@ class TestGridJson:
         assert back.max_dilation == spec.max_dilation
 
     def test_format_version_present(self):
-        spec = build_grid(power_fit(crossing=64), ScheduleConfig(layer_sweep=[4]))
+        spec = build_grid(power_fit(crossing=64), [4])
         d = grid_to_dict(spec)
         assert d["format_version"] == 1
         assert d["decay_class"] == "PowerLaw"
@@ -288,7 +334,7 @@ class TestGridJson:
         assert all({"dilations", "origin", "rationale"} <= set(s) for s in d["schedules"])
 
     def test_unknown_version_rejected(self):
-        spec = build_grid(power_fit(crossing=64), ScheduleConfig(layer_sweep=[4]))
+        spec = build_grid(power_fit(crossing=64), [4])
         d = grid_to_dict(spec)
         d["format_version"] = 99
         with pytest.raises(ScheduleError, match="format_version"):
