@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import dataclass
 
 from . import corpus as corpus_mod
 from . import estimator as est
@@ -156,12 +157,22 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class _SidecarReads:
+    """The analyze sidecar fields that fit reads; the rest is carried as is."""
+
+    bias_floor_nats: list[float] | None = None
+
+
+def _sidecar(doc) -> dict:
+    from_dict(_SidecarReads, doc)
+    return doc
+
+
 def cmd_fit(args) -> int:
     curve = est.curve_from_csv(args.curve)
     try:
-        curve.meta = read_json(
-            f"{args.curve}.meta.json", lambda doc: from_dict(dict, doc), est.EstimationError
-        )
+        curve.meta = read_json(f"{args.curve}.meta.json", _sidecar, est.EstimationError)
     except FileNotFoundError:
         pass
     fit = fit_mod.classify(curve, threshold=args.threshold)

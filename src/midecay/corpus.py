@@ -95,14 +95,15 @@ class Corpus:
 def _first_occurrence_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Encode integer values by first-occurrence rank.
 
-    Returns (ids, units) where units[r] is the original value with rank r.
+    Returns (ids, units) where units[r] is the original value with rank r and
+    ids has the smallest unsigned dtype that holds every rank. Ids are looked
+    up in a table indexed by value, which byte and code point values keep small.
     """
     distinct, first_idx = np.unique(values, return_index=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank_of_sorted = np.empty(distinct.shape[0], dtype=np.int64)
-    rank_of_sorted[order] = np.arange(distinct.shape[0])
-    ids = rank_of_sorted[np.searchsorted(distinct, values)]
-    return ids, distinct[order]
+    units = distinct[np.argsort(first_idx, kind="stable")]
+    lut = np.empty(int(distinct[-1]) + 1, dtype=np.min_scalar_type(distinct.size - 1))
+    lut[units] = np.arange(distinct.size)
+    return lut[values], units
 
 
 def load_text(path, mode: str) -> Corpus:
@@ -146,7 +147,7 @@ def load_text(path, mode: str) -> Corpus:
             alphabet = tuple(table)
 
     return Corpus(
-        sequences=(ids.astype(np.min_scalar_type(len(alphabet) - 1)),),
+        sequences=(ids.astype(np.min_scalar_type(len(alphabet) - 1), copy=False),),
         alphabet_size=len(alphabet),
         mode=mode,
         source_meta=f"{path};mode={mode}",

@@ -7,8 +7,11 @@ dependencies only.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,12 +19,18 @@ import numpy as np
 from .corpus import Corpus
 from .jsonio import atomic_open
 
-# above this many joint cells a dense K*K accumulator is wasteful; reduce with unique
-DENSE_JOINT_LIMIT = 2**24
+# above this many joint cells reduce with unique instead of a dense K*K table:
+# on 1M uniform pairs per lag bincount took 30 ms at K=1024 against unique's
+# 88 ms, but 114 ms against 86 ms at K=2048; the limit also caps each worker's
+# dense state (table plus bincount's output) at 16 MB
+DENSE_JOINT_LIMIT = 2**20
 
 # pair codes formed per chunk of rows or, for rows longer than this, of
-# columns (elements), bounding the int64 working set
-_CHUNK = 1 << 22
+# columns (elements). For bincount a 2 MB int64 buffer per worker, which stays
+# in cache; unique sorts its chunk anyway and then merges the chunks' cells,
+# which made a sparse lag of a 1M-token text 2.5x slower at the small size
+_CHUNK = 1 << 18
+_SPARSE_CHUNK = 1 << 22
 
 BIAS_CORRECTIONS = ("none", "miller_madow")
 
@@ -89,6 +98,10 @@ class DecayCurve:
         for name in ("lags", "mi", "pairs"):
             if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=np.float64))):
                 raise ValueError(f"curve {name} must be finite")
+        for name, low in (("lags", 1), ("pairs", 0)):  # checked before the int64 cast wraps
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            if np.any((values < low) | (values >= 2.0**63)):
+                raise ValueError(f"curve {name} must lie in [{low}, 2**63)")
         self.lags = np.asarray(self.lags, dtype=np.int64)
         self.mi = np.asarray(self.mi, dtype=np.float64)
         self.pairs = np.asarray(self.pairs, dtype=np.int64)
@@ -141,24 +154,29 @@ def _length_groups(corpus: Corpus) -> list[np.ndarray]:
 def _lag_cells(groups: list[np.ndarray], k: int, d: int):
     """Joint cell arrays (xs, ys, counts) at lag d, sorted by (x, y).
 
-    Pair codes x*K + y are formed in chunks of at most _CHUNK elements (whole
-    rows, or column spans of a longer row) and reduced with bincount while
-    K*K <= DENSE_JOINT_LIMIT, else with unique.
+    Pair codes x*K + y are formed in one reused int64 buffer, in chunks of at
+    most _CHUNK elements (whole rows, or column spans of a longer row), and
+    reduced with bincount while K*K <= DENSE_JOINT_LIMIT, else with unique
+    over chunks of _SPARSE_CHUNK.
     Both yield cells in code order, which fixes the MI summation order.
     """
     dense = k * k <= DENSE_JOINT_LIMIT
+    size = _CHUNK if dense else _SPARSE_CHUNK
     flat = np.zeros(k * k if dense else 0, dtype=np.int64)
     codes, counts = [], []
     for rows in groups:
         cols = rows.shape[1] - d
         if cols <= 0:
             continue
-        step, width = max(1, _CHUNK // cols), min(cols, _CHUNK)
+        step, width = max(1, size // cols), min(cols, size)
+        buf = np.empty(min(step, rows.shape[0]) * width, dtype=np.int64)
         for i, j in itertools.product(range(0, rows.shape[0], step), range(0, cols, width)):
             chunk = rows[i : i + step, j : j + width + d]
-            code = chunk[:, : chunk.shape[1] - d].astype(np.int64)
-            code *= k
-            code += chunk[:, d:]
+            x, y = chunk[:, : chunk.shape[1] - d], chunk[:, d:]
+            code = buf[: x.size].reshape(x.shape)
+            # the dtype keeps x*K from wrapping in x's own (uint8) dtype
+            np.multiply(x, k, out=code, dtype=np.int64)
+            code += y
             if dense:
                 flat += np.bincount(code.ravel(), minlength=k * k)
             else:
@@ -217,25 +235,53 @@ def mi_from_counts(counts: PairCounts, config: EstimatorConfig | None = None) ->
     return mi
 
 
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS and Windows
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _lag_cells_in_order(corpus: Corpus, lags: tuple[int, ...]):
+    """An iterator of _lag_cells at each lag, in order.
+
+    A corpus of more than one _CHUNK is counted on up to one thread per CPU,
+    ahead of the consumer, with the pending lags cancelled if the block
+    raises; a smaller corpus is counted lazily in the calling thread.
+    """
+    count = functools.partial(_lag_cells, _length_groups(corpus), corpus.alphabet_size)
+    workers = min(_cpu_count(), -(-corpus.n_symbols // _CHUNK))
+    if workers < 2:
+        yield map(count, lags)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        yield pool.map(count, lags)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = None) -> DecayCurve:
     """MI at every grid lag with at least config.min_pair_count pairs.
 
     Lags with fewer pairs are omitted and reported in meta["skipped_lags"];
     per-lag computations are independent, so evaluation order cannot change
-    the result.
+    the result, and the lags of a large corpus are counted on several threads.
     """
     config = config or EstimatorConfig()
-    groups = _length_groups(corpus)
     kept: list[tuple[int, float, int, float]] = []
     skipped: list[dict] = []
-    for d in grid.lags:
-        xs, ys, cs = _lag_cells(groups, corpus.alphabet_size, d)
-        total = int(cs.sum())
-        if total < config.min_pair_count:
-            skipped.append({"lag": int(d), "pair_count": total})
-            continue
-        mi, floor = _mi_and_floor(xs, ys, cs, total, config.bias_correction)
-        kept.append((int(d), mi, total, floor))
+    with _lag_cells_in_order(corpus, grid.lags) as cells:
+        for d, (xs, ys, cs) in zip(grid.lags, cells):
+            total = int(cs.sum())
+            if total < config.min_pair_count:
+                skipped.append({"lag": int(d), "pair_count": total})
+                continue
+            mi, floor = _mi_and_floor(xs, ys, cs, total, config.bias_correction)
+            kept.append((int(d), mi, total, floor))
     if not kept:
         if skipped and all(s["pair_count"] == 0 for s in skipped):
             raise EmptyLagError("every requested lag has zero pairs")
@@ -270,26 +316,30 @@ def curve_from_csv(path) -> DecayCurve:
     lags: list[int] = []
     mi: list[float] = []
     pairs: list[int] = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "lag,mi_nats,pair_count":
-            raise EstimationError(f"{path}: unexpected curve CSV header {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise EstimationError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                lags.append(int(parts[0]))
-                mi.append(float(parts[1]))
-                pairs.append(int(parts[2]))
-            except ValueError as exc:
-                raise EstimationError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise EstimationError(f"{path} is not valid UTF-8: {exc}") from exc
+    header = lines[0].strip()
+    if header != "lag,mi_nats,pair_count":
+        raise EstimationError(f"{path}: unexpected curve CSV header {header!r}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise EstimationError(f"{path}:{lineno}: expected 3 columns")
+        try:
+            lags.append(int(parts[0]))
+            mi.append(float(parts[1]))
+            pairs.append(int(parts[2]))
+        except ValueError as exc:
+            raise EstimationError(f"{path}:{lineno}: {exc}") from exc
     if not lags:
         raise EstimationError(f"{path}: no curve points")
     try:
         return DecayCurve(lags=np.array(lags), mi=np.array(mi), pairs=np.array(pairs))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # overflow: an integer beyond int64
         raise EstimationError(f"{path}: invalid curve: {exc}") from exc

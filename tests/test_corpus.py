@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from midecay import (
@@ -96,6 +96,26 @@ class TestLoadText:
     def test_ids_stored_in_smallest_unsigned_dtype(self, tmp_path, data, mode, dtype):
         c = load_text(write_bytes(tmp_path, "t.txt", data), mode)
         assert c.sequences[0].dtype == dtype
+
+    @settings(max_examples=200, deadline=None)
+    # 300 distinct code points up to the last one take uint16 ids from a 1.1M-entry table
+    @example(data="".join(chr(0x10FFFF - 7 * i) for i in range(300)).encode("utf-8"))
+    @given(data=st.binary(min_size=1, max_size=300) | st.text(min_size=1, max_size=100).map(
+        lambda t: t.encode("utf-8")))
+    def test_ids_are_first_occurrence_ranks(self, tmp_path_factory, data):
+        p = write_bytes(tmp_path_factory.mktemp("ranks"), "t.txt", data)
+        units = [list(data)]
+        try:
+            units.append(list(data.decode("utf-8")))
+        except UnicodeDecodeError:
+            pass
+        for mode, seq in zip(("byte", "char"), units):
+            c = load_text(p, mode)
+            table = {}
+            expected = [table.setdefault(u, len(table)) for u in seq]
+            assert c.sequences[0].tolist() == expected
+            assert c.sequences[0].dtype == np.min_scalar_type(len(table) - 1)
+            assert c.alphabet == tuple(table)
 
     def test_small_dtype_leaves_decay_curve_unchanged(self, tmp_path):
         from midecay import EstimatorConfig, decay_curve, default_lag_grid

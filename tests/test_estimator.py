@@ -1,6 +1,10 @@
 """Pair counting, plug-in MI, decay curves, lag grids, CSV round trips."""
 
+import concurrent.futures
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -277,7 +281,8 @@ class TestDecayCurve:
         # K*K <= limit reduces with bincount, one below it with unique
         for limit in (k * k, k * k - 1):
             with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", limit), \
-                    mock.patch.object(estimator, "_CHUNK", chunk):
+                    mock.patch.object(estimator, "_CHUNK", chunk), \
+                    mock.patch.object(estimator, "_SPARSE_CHUNK", chunk):
                 pc = count_pairs(c, d)
                 curve = decay_curve(c, LagGrid((d,)), EstimatorConfig(min_pair_count=1))
             runs.append((pc, mi_from_counts(pc), curve.mi.tolist()))
@@ -321,6 +326,88 @@ class TestDecayCurve:
             finally:
                 tracemalloc.stop()
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("limit", [estimator.DENSE_JOINT_LIMIT, 0], ids=["bincount", "unique"])
+    def test_thread_pool_matches_serial_and_oracle(self, tmp_path, limit):
+        # 500-symbol chunks and 8 reported CPUs: more workers than cores
+        rng = np.random.default_rng(17)
+        seqs = [rng.integers(0, 7, n).tolist() for n in (4000, 2500, 300, 300, 300)]
+        c = corpus_from_lists(seqs, 7)
+        grid, config = default_lag_grid(400), EstimatorConfig(min_pair_count=1)
+        spy = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+        result = {}
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", limit):
+            serial = decay_curve(c, grid, config)
+            sys.setswitchinterval(1e-5)
+            try:
+                with mock.patch.object(estimator, "_CHUNK", 500), \
+                        mock.patch.object(estimator, "_SPARSE_CHUNK", 500), \
+                        mock.patch.object(estimator.os, "sched_getaffinity",
+                                          return_value=set(range(8))), \
+                        mock.patch.object(concurrent.futures, "ThreadPoolExecutor", spy):
+                    run = threading.Thread(
+                        target=lambda: result.update(curve=decay_curve(c, grid, config)))
+                    run.start()
+                    run.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not run.is_alive() and "curve" in result
+        assert spy.call_args == mock.call(8)
+        assert threading.active_count() == threads  # the pool is shut down
+        pooled = result["curve"]
+        assert pooled.lags.tolist() == serial.lags.tolist()
+        assert pooled.mi.tolist() == serial.mi.tolist()
+        assert pooled.pairs.tolist() == serial.pairs.tolist()
+        assert pooled.meta == serial.meta
+        curve_to_csv(serial, tmp_path / "serial.csv")
+        curve_to_csv(pooled, tmp_path / "pooled.csv")
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+        for d, mi, pairs in pooled.points():
+            joint = naive_pair_counts(seqs, d)
+            assert pairs == sum(joint.values())
+            assert abs(mi - max(0.0, naive_mi(joint))) < 1e-12
+
+    def test_small_corpus_counts_in_calling_thread(self):
+        c = corpus_from_lists([np.arange(5000) % 4], 4)
+        with mock.patch.object(concurrent.futures, "ThreadPoolExecutor") as pool:
+            decay_curve(c, default_lag_grid(100), EstimatorConfig(min_pair_count=1))
+        pool.assert_not_called()
+
+    def test_consumer_error_cancels_pending_lags(self):
+        c = corpus_from_lists([np.arange(5000) % 4], 4)
+        grid = LagGrid(tuple(range(1, 61)))
+        calls = []
+        real = estimator._lag_cells
+
+        def slow_cells(groups, k, d):
+            calls.append(d)
+            time.sleep(0.01)
+            return real(groups, k, d)
+
+        with mock.patch.object(estimator, "_CHUNK", 1000), \
+                mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
+                mock.patch.object(estimator, "_lag_cells", slow_cells), \
+                mock.patch.object(estimator, "_mi_and_floor", side_effect=MemoryError):
+            with pytest.raises(MemoryError):
+                decay_curve(c, grid, EstimatorConfig(min_pair_count=1))
+        assert len(calls) < len(grid.lags) // 2
+
+    def test_thread_pool_does_not_hold_every_lag(self):
+        # 64 lags of 65,536 cells (1.5 MB each) would take 96 MB held at once
+        seq = np.random.default_rng(18).integers(0, 256, 1_000_000).astype(np.uint8)
+        c = Corpus(sequences=(seq,), alphabet_size=256, mode="byte")
+        grid = LagGrid(tuple(range(1, 65)))
+        with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}):
+            tracemalloc.start()
+            try:
+                curve = decay_curve(c, grid, EstimatorConfig(min_pair_count=1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert curve.lags.size == 64
+        assert peak < 32_000_000
 
     def test_bias_floor_reported(self):
         rng = np.random.default_rng(13)
@@ -389,6 +476,15 @@ class TestCurveCsv:
     def test_negative_mi_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("lag,mi_nats,pair_count\n1,-0.5,10\n")
+        with pytest.raises(EstimationError, match="invalid curve"):
+            curve_from_csv(p)
+
+    # a value beyond int64 wrapped to a negative int64 in the cast, with a warning
+    @pytest.mark.parametrize("row", ["0,0.5,10", "-3,0.5,10", "2,0.5,-1", f"{2**63},0.5,10",
+                                     f"2,0.5,{10**19}", f"2,0.5,{10**30}"])
+    def test_lag_or_pair_count_out_of_range_rejected(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"lag,mi_nats,pair_count\n{row}\n")
         with pytest.raises(EstimationError, match="invalid curve"):
             curve_from_csv(p)
 

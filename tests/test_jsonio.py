@@ -250,7 +250,18 @@ class TestMalformedDocuments:
         with pytest.raises(FitError, match="max_lag"):
             read_fit_json(fitj)
 
-    @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]", '{"a": NaN}', "\xff"])
+    def test_non_utf8_curve_is_data_error(self, tmp_path, capsys):
+        curve = tmp_path / "c.csv"
+        curve.write_bytes(b"lag,mi_nats,pair_count\n1,0.5\xff,10\n")
+        out = tmp_path / "f.json"
+        assert main(["fit", "--curve", str(curve), "--out", str(out)]) == 2
+        one_error_line(capsys)
+        assert not out.exists()
+
+    # the rest: a bias_floor_nats of the wrong type, which fit reads
+    @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]", '{"a": NaN}', "\xff", *(
+        json.dumps({"bias_floor_nats": v}) for v in (["a"] * 40, "a" * 40, [[0.1]] * 40,
+                                                     [True] * 40, 7))])
     def test_malformed_sidecar_is_data_error(self, sidecar, tmp_path, capsys):
         curve = tmp_path / "c.csv"
         curve.write_text("lag,mi_nats,pair_count\n" + "".join(
@@ -296,3 +307,31 @@ class TestFuzzFitDocuments:
         out = str(work / "out.json")
         for command, sweep in (("schedule", str(layers)), ("grid", f"1..{layers}")):
             assert main([command, "--fit", str(fitj), "--layers", sweep, "--out", out]) in (0, 2)
+
+
+@st.composite
+def curve_csv_bytes(draw):
+    """Arbitrary bytes, or a curve CSV (a decay law sampled at rising lags)
+    with arbitrary bytes spliced in, so that some inputs reach the classifier."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    # a lag or pair count beyond int64 (10**30) must be rejected too
+    top = draw(st.sampled_from([10**4, 10**30]))
+    lags = sorted(draw(st.sets(st.integers(1, top), min_size=1, max_size=60)))
+    scale, slope = draw(st.floats(1e-9, 10)), draw(st.floats(-3, 0.5))
+    rows = b"".join(f"{d},{scale * d ** slope:.17g},{draw(st.integers(0, top))}\n".encode()
+                    for d in lags)
+    text = b"lag,mi_nats,pair_count\n" + rows
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.binary(max_size=8)) + text[at + draw(st.integers(0, 8)):]
+
+
+class TestFuzzCurveCsv:
+    # a RuntimeWarning flagged a lag or pair count wrapped by the int64 cast
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=500, deadline=None)
+    @given(data=curve_csv_bytes())
+    def test_fit_never_raises(self, tmp_path_factory, data):
+        curve = tmp_path_factory.mktemp("fuzz") / "c.csv"
+        curve.write_bytes(data)
+        assert main(["fit", "--curve", str(curve), "--out", f"{curve}.fit.json"]) in (0, 2)
