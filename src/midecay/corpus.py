@@ -72,12 +72,15 @@ class Corpus:
         seqs = tuple(np.asarray(s) for s in self.sequences)
         if not seqs:
             raise ValueError("corpus must contain at least one sequence")
+        if any(s.ndim != 1 or s.shape[0] < 1 for s in seqs):
+            raise ValueError("every sequence must be a nonempty 1-D array")
+        dtypes = {s.dtype for s in seqs}
+        if not all(np.issubdtype(t, np.integer) for t in dtypes):
+            raise ValueError("sequences must hold integer symbol ids")
+        # only a dtype that can hold an invalid id is scanned: uint8 with K = 256 is not
+        scan = {t for t in dtypes if np.iinfo(t).min < 0 or np.iinfo(t).max >= self.alphabet_size}
         for s in seqs:
-            if s.ndim != 1 or s.shape[0] < 1:
-                raise ValueError("every sequence must be a nonempty 1-D array")
-            if not np.issubdtype(s.dtype, np.integer):
-                raise ValueError("sequences must hold integer symbol ids")
-            if int(s.min()) < 0 or int(s.max()) >= self.alphabet_size:
+            if s.dtype in scan and (int(s.min()) < 0 or int(s.max()) >= self.alphabet_size):
                 raise ValueError("symbol id outside [0, alphabet_size)")
         object.__setattr__(self, "sequences", seqs)
         if self.alphabet is not None:

@@ -19,16 +19,18 @@ import numpy as np
 from .corpus import Corpus
 from .jsonio import atomic_open
 
-# above this many joint cells reduce with unique instead of a dense K*K table:
+# above this many joint cells reduce with unique instead of a dense K'*K' table
+# (K' counts the symbols that occur):
 # on 1M uniform pairs per lag bincount took 30 ms at K=1024 against unique's
 # 88 ms, but 114 ms against 86 ms at K=2048; the limit also caps each worker's
 # dense state (table plus bincount's output) at 16 MB
 DENSE_JOINT_LIMIT = 2**20
 
 # pair codes formed per chunk of rows or, for rows longer than this, of
-# columns (elements). For bincount a 2 MB int64 buffer per worker, which stays
-# in cache; unique sorts its chunk anyway and then merges the chunks' cells,
-# which made a sparse lag of a 1M-token text 2.5x slower at the small size
+# columns (elements). For bincount a code buffer of at most 1 MB per worker
+# (uint32 codes; 512 KB of uint16 up to K' = 256), which stays in cache;
+# unique sorts its chunk anyway and then merges the chunks' cells, which made
+# a sparse lag of a 1M-token text 2.5x slower at the small size
 _CHUNK = 1 << 18
 _SPARSE_CHUNK = 1 << 22
 
@@ -139,43 +141,81 @@ def default_lag_grid(max_lag: int, dense_limit: int = 64, per_decade: int = 32) 
     return LagGrid(tuple(sorted(lags)))
 
 
-def _length_groups(corpus: Corpus) -> list[np.ndarray]:
-    """The sequences as one (n, L) matrix per distinct length L.
+def _chunks(rows: np.ndarray, d: int, size: int):
+    """Blocks of rows that hold at most size pairs at lag d (at d = 0, symbols).
+
+    A block is whole rows, or a column span of one row longer than size, and
+    carries the d columns beyond its last pair.
+    """
+    cols = rows.shape[1] - d
+    step, width = max(1, size // cols), min(cols, size)
+    for i, j in itertools.product(range(0, rows.shape[0], step), range(0, cols, width)):
+        yield rows[i : i + step, j : j + width + d]
+
+
+def _ranked_groups(corpus: Corpus) -> tuple[list[np.ndarray], np.ndarray]:
+    """The sequences as one (n, L) matrix of symbol ranks per distinct length L,
+    and the ascending ids of the symbols that occur: rank r is symbols[r].
 
     A text is one 1 x N view, an image set one n x L stack, a ragged corpus
     several groups; pairs at lag d come from rows[:, :L-d] and rows[:, d:].
+    Ranks are stored in the narrowest dtype that holds them. When every symbol
+    of the alphabet occurs in that dtype already, the groups are the ids
+    themselves; else each group is relabelled chunk by chunk, a stack in place
+    when its dtype is the ranks', so no second copy of the corpus is kept.
     """
     by_length: dict[int, list[np.ndarray]] = {}
     for s in corpus.sequences:
         by_length.setdefault(s.shape[0], []).append(s)
-    return [g[0][None] if len(g) == 1 else np.stack(g) for g in by_length.values()]
+    groups = [g[0][None] if len(g) == 1 else np.stack(g) for g in by_length.values()]
+    # marked through the index itself: bincount's intp copy of a chunk would
+    # stay in the process's resident set after it is freed
+    seen = np.zeros(corpus.alphabet_size, dtype=bool)
+    for rows in groups:
+        for chunk in _chunks(rows, 0, _CHUNK):
+            seen[chunk] = True
+    symbols = np.flatnonzero(seen)
+    dtype = np.min_scalar_type(symbols.size - 1)
+    if symbols.size == corpus.alphabet_size and all(rows.dtype == dtype for rows in groups):
+        return groups, symbols
+    lut = np.zeros(symbols[-1] + 1, dtype=dtype)
+    lut[symbols] = np.arange(symbols.size)
+    for n, rows in enumerate(groups):
+        own = rows.flags.owndata and rows.dtype == dtype
+        ranks = rows if own else np.empty(rows.shape, dtype=dtype)
+        for chunk, out in zip(_chunks(rows, 0, _CHUNK), _chunks(ranks, 0, _CHUNK)):
+            out[...] = lut[chunk]
+        groups[n] = ranks
+    return groups, symbols
 
 
 def _lag_cells(groups: list[np.ndarray], k: int, d: int):
     """Joint cell arrays (xs, ys, counts) at lag d, sorted by (x, y).
 
-    Pair codes x*K + y are formed in one reused int64 buffer, in chunks of at
-    most _CHUNK elements (whole rows, or column spans of a longer row), and
-    reduced with bincount while K*K <= DENSE_JOINT_LIMIT, else with unique
-    over chunks of _SPARSE_CHUNK.
+    Groups hold ranks below k. Pair codes x*k + y are formed in one reused
+    buffer of the narrowest dtype that holds k*k - 1 (uint16 up to k = 256,
+    uint32 up to 65,536, then int64), in chunks of at most _CHUNK elements (whole rows, or
+    column spans of a longer row), and reduced with bincount while
+    k*k <= DENSE_JOINT_LIMIT, else with unique over chunks of _SPARSE_CHUNK.
     Both yield cells in code order, which fixes the MI summation order.
     """
     dense = k * k <= DENSE_JOINT_LIMIT
     size = _CHUNK if dense else _SPARSE_CHUNK
+    # not uint64: merged with int64 it would turn to float64, and older
+    # NumPy's bincount rejects it
+    dtype = np.min_scalar_type(k * k - 1) if k <= 1 << 16 else np.int64
     flat = np.zeros(k * k if dense else 0, dtype=np.int64)
     codes, counts = [], []
     for rows in groups:
         cols = rows.shape[1] - d
         if cols <= 0:
             continue
-        step, width = max(1, size // cols), min(cols, size)
-        buf = np.empty(min(step, rows.shape[0]) * width, dtype=np.int64)
-        for i, j in itertools.product(range(0, rows.shape[0], step), range(0, cols, width)):
-            chunk = rows[i : i + step, j : j + width + d]
+        buf = np.empty(min(size, rows.shape[0] * cols), dtype=dtype)
+        for chunk in _chunks(rows, d, size):
             x, y = chunk[:, : chunk.shape[1] - d], chunk[:, d:]
             code = buf[: x.size].reshape(x.shape)
-            # the dtype keeps x*K from wrapping in x's own (uint8) dtype
-            np.multiply(x, k, out=code, dtype=np.int64)
+            # the dtype keeps x*k from wrapping in the ranks' own, narrower dtype
+            np.multiply(x, k, out=code, dtype=dtype)
             code += y
             if dense:
                 flat += np.bincount(code.ravel(), minlength=k * k)
@@ -198,10 +238,13 @@ def count_pairs(corpus: Corpus, d: int) -> PairCounts:
     """Count (sequence[t], sequence[t+d]) pairs over all sequences."""
     if d < 1:
         raise ValueError("lag d must be >= 1")
-    xs, ys, cs = _lag_cells(_length_groups(corpus), corpus.alphabet_size, d)
+    groups, symbols = _ranked_groups(corpus)
+    xs, ys, cs = _lag_cells(groups, symbols.size, d)
     if cs.size == 0:
         raise EmptyLagError(f"no pairs at lag {d} (all sequences too short)")
-    return PairCounts(xs=xs, ys=ys, counts=cs, total_pairs=int(cs.sum()), lag=d)
+    return PairCounts(
+        xs=symbols[xs], ys=symbols[ys], counts=cs, total_pairs=int(cs.sum()), lag=d
+    )
 
 
 def _mi_and_floor(xs, ys, cs, total: int, bias_correction: str) -> tuple[float, float]:
@@ -250,7 +293,8 @@ def _lag_cells_in_order(corpus: Corpus, lags: tuple[int, ...]):
     ahead of the consumer, with the pending lags cancelled if the block
     raises; a smaller corpus is counted lazily in the calling thread.
     """
-    count = functools.partial(_lag_cells, _length_groups(corpus), corpus.alphabet_size)
+    groups, symbols = _ranked_groups(corpus)
+    count = functools.partial(_lag_cells, groups, symbols.size)
     workers = min(_cpu_count(), -(-corpus.n_symbols // _CHUNK))
     if workers < 2:
         yield map(count, lags)

@@ -152,6 +152,15 @@ class TestIdx:
         assert c.alphabet_size == 256
         assert c.mode == "pixel"
 
+    def test_load_keeps_every_pixel_value(self, tmp_path):
+        # uint8 pixels with K = 256 skip the id range scan; the ids are the bytes
+        images = np.arange(3 * 256, dtype=np.uint8).reshape(3, 256)[:, ::-1]
+        p = tmp_path / "imgs.idx"
+        write_idx_images(p, images, 16, 16)
+        c = load_idx_images(p)
+        assert [s.dtype for s in c.sequences] == [np.uint8] * 3
+        assert np.array_equal(np.stack(c.sequences), images)
+
     def test_minimal_single_pixel_file(self, tmp_path):
         p = tmp_path / "one.idx"
         write_idx_images(p, np.zeros((1, 1), dtype=np.uint8), 1, 1)
@@ -195,6 +204,21 @@ class TestCorpusInvariants:
     def test_symbol_id_range_enforced(self):
         with pytest.raises(ValueError, match="alphabet_size"):
             Corpus(sequences=(np.array([0, 3]),), alphabet_size=2, mode="byte")
+
+    # every dtype that can hold an id outside [0, K) is scanned, whatever K is
+    @pytest.mark.parametrize("dtype, ids, k", [
+        (np.int16, [0, 256], 256),
+        (np.int16, [-1, 3], 256),
+        (np.int64, [0, 256], 256),
+        (np.int64, [-5, 0], 10),
+        (np.int8, [-1, 0], 256),
+        (np.uint8, [0, 250], 200),
+        (np.uint16, [256, 0], 256),
+    ])
+    def test_out_of_range_id_rejected_in_any_dtype(self, dtype, ids, k):
+        seqs = (np.zeros(4, dtype=np.uint8), np.array(ids, dtype=dtype))
+        with pytest.raises(ValueError, match="alphabet_size"):
+            Corpus(sequences=seqs, alphabet_size=k, mode="word")
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -278,8 +279,10 @@ class TestDecayCurve:
             return
         c = corpus_from_lists(seqs, k)
         runs = []
-        # K*K <= limit reduces with bincount, one below it with unique
-        for limit in (k * k, k * k - 1):
+        # K'*K' <= limit reduces with bincount, one below it with unique, where
+        # K' counts the symbols that occur
+        occurring = len({v for s in seqs for v in s})
+        for limit in (occurring**2, occurring**2 - 1):
             with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", limit), \
                     mock.patch.object(estimator, "_CHUNK", chunk), \
                     mock.patch.object(estimator, "_SPARSE_CHUNK", chunk):
@@ -294,11 +297,107 @@ class TestDecayCurve:
         assert joint_dict(dense) == joint
         assert abs(dense_mi - max(0.0, naive_mi(joint))) < 1e-12
 
+    @pytest.mark.parametrize("reduction", ["bincount", "unique"])
+    @pytest.mark.parametrize("occurring", [16, 17, 256, 257])
+    def test_code_dtype_boundaries_match_oracle(self, occurring, reduction):
+        # K' = 16 -> 17 and 256 -> 257 switch the pair codes from uint8 to
+        # uint16 to uint32; the ids are spread over a wider declared alphabet
+        rng = np.random.default_rng(occurring)
+        ranks = [np.concatenate([rng.permutation(occurring), rng.integers(0, occurring, n)])
+                 for n in (3000, 3000, 1000)]
+        seqs = [(3 * r + 1).tolist() for r in ranks]
+        c = corpus_from_lists(seqs, 3 * occurring + 2, mode="word")
+        groups, symbols = estimator._ranked_groups(c)
+        assert symbols.tolist() == list(range(1, 3 * occurring + 1, 3))
+        assert {g.dtype for g in groups} == {np.min_scalar_type(occurring - 1)}
+        limit = occurring**2 - (reduction == "unique")
+        grid = LagGrid((1, 5, 999))
+        with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", limit):
+            curve = decay_curve(c, grid, EstimatorConfig(min_pair_count=1))
+            for d, mi in zip(grid.lags, curve.mi):
+                joint = naive_pair_counts(seqs, d)
+                pc = count_pairs(c, d)
+                assert pc.xs.dtype == pc.ys.dtype == np.int64
+                assert joint_dict(pc) == joint
+                assert abs(mi_from_counts(pc) - max(0.0, naive_mi(joint))) < 1e-12
+                assert abs(mi - max(0.0, naive_mi(joint))) < 1e-12
+
+    def test_pixel_corpus_counts_its_occurring_values(self, tmp_path):
+        values = np.array([0, 8, 248, 255], dtype=np.uint8)
+        picks = np.random.default_rng(19).integers(0, 4, (40, 64))
+        pixels = Corpus(sequences=tuple(values[picks]), alphabet_size=256, mode="pixel")
+        by_hand = Corpus(sequences=tuple(picks), alphabet_size=4, mode="pixel")
+        seqs = [values[row].tolist() for row in picks]
+        pc = count_pairs(pixels, 3)
+        assert joint_dict(pc) == naive_pair_counts(seqs, 3)
+        assert set(pc.xs.tolist()) | set(pc.ys.tolist()) == {0, 8, 248, 255}
+        grid, config = default_lag_grid(63), EstimatorConfig(min_pair_count=1)
+        curve = decay_curve(pixels, grid, config)
+        assert curve.meta["alphabet_size"] == 256
+        curve_to_csv(curve, tmp_path / "pixels.csv")
+        curve_to_csv(decay_curve(by_hand, grid, config), tmp_path / "by_hand.csv")
+        assert (tmp_path / "pixels.csv").read_bytes() == (tmp_path / "by_hand.csv").read_bytes()
+
+    def test_ids_counted_as_they_are_when_every_symbol_occurs(self):
+        seq = np.arange(60_000, dtype=np.uint8) % 60
+        c = Corpus(sequences=(seq,), alphabet_size=60, mode="byte")
+        groups, symbols = estimator._ranked_groups(c)
+        assert symbols.tolist() == list(range(60))
+        assert len(groups) == 1 and np.shares_memory(groups[0], seq)
+
+    def test_image_stack_relabelled_in_place(self):
+        # 2,000 images of 784 pixels take 1.57 MB; a second copy would take as much
+        rng = np.random.default_rng(20)
+        images = (rng.integers(0, 32, (2000, 784)) * 8).astype(np.uint8)
+        c = Corpus(sequences=tuple(images), alphabet_size=256, mode="pixel")
+        with mock.patch.object(estimator, "_CHUNK", 10_000):
+            tracemalloc.start()
+            try:
+                groups, symbols = estimator._ranked_groups(c)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < images.nbytes + 500_000
+        assert symbols.tolist() == list(range(0, 256, 8))
+        assert groups[0].dtype == np.uint8 and groups[0].tolist() == (images // 8).tolist()
+
+    def test_wide_alphabet_codes_match_oracle(self):
+        # K' = 65,537 ranks take uint32 and their pair codes no longer fit in
+        # it; small sparse chunks make every lag merge several chunks' cells
+        rng = np.random.default_rng(21)
+        occurring = 65_537
+        ranks = [np.concatenate([rng.permutation(occurring), rng.integers(0, occurring, 5000)]),
+                 rng.integers(0, occurring, 3000)]
+        seqs = [(2 * r + 1).tolist() for r in ranks]
+        c = corpus_from_lists(seqs, 2 * occurring + 2, mode="word")
+        grid = LagGrid((1, 2, 2999))
+        with mock.patch.object(estimator, "_SPARSE_CHUNK", 20_000):
+            groups, symbols = estimator._ranked_groups(c)
+            assert symbols.size == occurring and {g.dtype for g in groups} == {np.dtype(np.uint32)}
+            curve = decay_curve(c, grid, EstimatorConfig(min_pair_count=1))
+            for d, mi in zip(grid.lags, curve.mi):
+                joint = naive_pair_counts(seqs, d)
+                pc = count_pairs(c, d)
+                assert pc.xs.dtype == pc.ys.dtype == np.int64
+                assert joint_dict(pc) == joint
+                # naive_mi's running sum drifts by 1e-11 over 70k cells, so the
+                # oracle here sums exactly rounded terms with fsum
+                n, px, py = sum(joint.values()), Counter(), Counter()
+                for (x, y), k in joint.items():
+                    px[x] += k
+                    py[y] += k
+                exact = math.fsum(k * math.log(k * n / (px[x] * py[y]))
+                                  for (x, y), k in joint.items()) / n
+                assert mi == mi_from_counts(pc)
+                assert abs(mi - max(0.0, exact)) < 1e-12
+
     def test_sparse_counting_path_matches_naive(self):
-        # alphabet large enough to force the np.unique reduction
+        # more than 1,024 symbols occur, so K'^2 passes DENSE_JOINT_LIMIT and
+        # the np.unique reduction runs
         rng = np.random.default_rng(12)
         k = 5000
-        seqs = [rng.integers(0, k, 400).tolist()]
+        seqs = [np.concatenate([rng.permutation(k), rng.integers(0, k, 400)]).tolist()]
+        assert len(set(seqs[0])) ** 2 > estimator.DENSE_JOINT_LIMIT
         c = corpus_from_lists(seqs, k, mode="word")
         pc = count_pairs(c, 2)
         assert joint_dict(pc) == naive_pair_counts(seqs, 2)

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import struct
 import types
 from pathlib import Path
 
@@ -25,7 +26,13 @@ from midecay.fit import (
     write_fit_json,
 )
 from midecay.jsonio import from_dict, to_dict, write_json
-from midecay.schedule import build_grid, grid_from_dict, grid_to_dict
+from midecay.schedule import (
+    ScheduleError,
+    build_grid,
+    grid_from_dict,
+    grid_to_dict,
+    read_grid_json,
+)
 from tests.test_schedule import broken_fit, exponential_fit, periodic_fit, power_fit
 
 PINNED = Path(__file__).resolve().parent / "pinned"
@@ -335,3 +342,53 @@ class TestFuzzCurveCsv:
         curve = tmp_path_factory.mktemp("fuzz") / "c.csv"
         curve.write_bytes(data)
         assert main(["fit", "--curve", str(curve), "--out", f"{curve}.fit.json"]) in (0, 2)
+
+
+_GRIDS = [json.loads(p.read_text()) for p in sorted(PINNED.glob("*.grid.json"))]
+_GRID_POSITIONS = [(i, p) for i, doc in enumerate(_GRIDS) for p in _paths(doc)]
+
+
+class TestFuzzGridDocuments:
+    @settings(max_examples=500, deadline=None)
+    @given(position=st.sampled_from(_GRID_POSITIONS), value=json_values)
+    def test_reader_raises_only_schedule_error(self, tmp_path_factory, position, value):
+        i, path = position
+        grid = tmp_path_factory.mktemp("fuzz") / "g.json"
+        grid.write_text(json.dumps(replaced(_GRIDS[i], path, value)))
+        try:
+            read_grid_json(grid)
+        except ScheduleError:
+            pass
+
+
+@st.composite
+def idx_bytes(draw):
+    """Arbitrary bytes, or an IDX image file with a mangled header: any magic or
+    dimension a u32 holds, or small dimensions with a payload of their size;
+    sometimes with arbitrary bytes spliced in."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    magic = draw(st.just(corpus.IDX_IMAGE_MAGIC) | st.integers(0, 2**32 - 1))
+    count, rows, cols = (draw(st.integers(0, 6) | st.integers(0, 2**32 - 1)) for _ in range(3))
+    size = count * rows * cols
+    payload = draw(st.binary(min_size=size, max_size=size) if size <= 216 else st.binary())
+    data = struct.pack(">IIII", magic, count, rows, cols) + payload
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(max_size=8)) + data[at + draw(st.integers(0, 8)):]
+    return data
+
+
+class TestFuzzIdx:
+    @settings(max_examples=300, deadline=None)
+    @given(data=idx_bytes(), max_lag=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           inverse=st.booleans())
+    def test_analyze_and_permute_never_raise(self, tmp_path_factory, data, max_lag, seed,
+                                             inverse):
+        idx = tmp_path_factory.mktemp("fuzz") / "in.idx"
+        idx.write_bytes(data)
+        analyze = ["analyze", "--input", str(idx), "--mode", "pixel", "--max-lag",
+                   str(max_lag), "--min-pairs", "1", "--out", f"{idx}.csv"]
+        assert main(analyze) in (0, 2)
+        permute = ["permute", "--input", str(idx), "--seed", str(seed), "--out", f"{idx}.out"]
+        assert main(permute + ["--inverse"] * inverse) in (0, 2)
