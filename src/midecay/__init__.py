@@ -21,13 +21,10 @@ from .estimator import (
     EstimationError,
     EstimatorConfig,
     LagGrid,
-    PairCounts,
-    count_pairs,
     curve_from_csv,
     curve_to_csv,
     decay_curve,
     default_lag_grid,
-    mi_from_counts,
 )
 from .fit import (
     BrokenPowerLawFit,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 import struct
 from dataclasses import dataclass
 
@@ -14,8 +13,9 @@ IDX_IMAGE_MAGIC = 0x00000803
 
 MODES = ("byte", "char", "word", "pixel")
 
-# word tokenization splits on ASCII whitespace only, no case folding
-_ASCII_WS = re.compile(r"[ \t\n\r\f\v]+")
+# units per block of the first-occurrence scan: np.unique sorts with int64
+# index arrays, which over a whole text took about 17 bytes per byte of text
+_RANK_BLOCK = 1 << 16
 
 
 class CorpusError(ValueError):
@@ -99,13 +99,20 @@ def _first_occurrence_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Encode integer values by first-occurrence rank.
 
     Returns (ids, units) where units[r] is the original value with rank r and
-    ids has the smallest unsigned dtype that holds every rank. Ids are looked
-    up in a table indexed by value, which byte and code point values keep small.
+    ids has the smallest unsigned dtype that holds every rank. Units are found
+    block by block, and ids are looked up in a table indexed by value, which
+    byte and code point values keep small.
     """
-    distinct, first_idx = np.unique(values, return_index=True)
-    units = distinct[np.argsort(first_idx, kind="stable")]
-    lut = np.empty(int(distinct[-1]) + 1, dtype=np.min_scalar_type(distinct.size - 1))
-    lut[units] = np.arange(distinct.size)
+    seen = np.zeros(int(values.max()) + 1, dtype=bool)
+    found = []
+    for start in range(0, values.size, _RANK_BLOCK):
+        distinct, first = np.unique(values[start : start + _RANK_BLOCK], return_index=True)
+        new = ~seen[distinct]
+        seen[distinct] = True
+        found.append(distinct[new][np.argsort(first[new])])
+    units = np.concatenate(found)
+    lut = np.empty(seen.size, dtype=np.min_scalar_type(units.size - 1))
+    lut[units] = np.arange(units.size)
     return lut[values], units
 
 
@@ -138,16 +145,19 @@ def load_text(path, mode: str) -> Corpus:
             ids, units = _first_occurrence_ranks(codepoints)
             alphabet = tuple(chr(int(u)) for u in units)
         else:
-            words = [w for w in _ASCII_WS.split(text) if w]
+            del text  # decoded only to validate
+            # bytes.split() splits on the six ASCII whitespace bytes, which no
+            # multibyte UTF-8 sequence contains; no case folding
+            words = data.split()
             if not words:
                 raise CorpusError(f"no words in input file: {path}")
-            table: dict[str, int] = {}
+            table: dict[bytes, int] = {}
             ids = np.fromiter(
                 (table.setdefault(w, len(table)) for w in words),
                 dtype=np.int64,
                 count=len(words),
             )
-            alphabet = tuple(table)
+            alphabet = tuple(w.decode("utf-8") for w in table)
 
     return Corpus(
         sequences=(ids.astype(np.min_scalar_type(len(alphabet) - 1), copy=False),),

@@ -7,7 +7,6 @@ dependencies only.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -70,21 +69,6 @@ class LagGrid:
         if any(b <= a for a, b in zip(lags, lags[1:])):
             raise ValueError("lags must be strictly increasing")
         object.__setattr__(self, "lags", lags)
-
-
-@dataclass(frozen=True)
-class PairCounts:
-    """Empirical joint counts of (symbol at t, symbol at t+lag).
-
-    Cell i is the pair (xs[i], ys[i]) seen counts[i] times; cells are sorted
-    by (x, y) and only nonzero cells are stored.
-    """
-
-    xs: np.ndarray
-    ys: np.ndarray
-    counts: np.ndarray
-    total_pairs: int
-    lag: int
 
 
 @dataclass
@@ -234,50 +218,6 @@ def _lag_cells(groups: list[np.ndarray], k: int, d: int):
     return code // k, code % k, cs
 
 
-def count_pairs(corpus: Corpus, d: int) -> PairCounts:
-    """Count (sequence[t], sequence[t+d]) pairs over all sequences."""
-    if d < 1:
-        raise ValueError("lag d must be >= 1")
-    groups, symbols = _ranked_groups(corpus)
-    xs, ys, cs = _lag_cells(groups, symbols.size, d)
-    if cs.size == 0:
-        raise EmptyLagError(f"no pairs at lag {d} (all sequences too short)")
-    return PairCounts(
-        xs=symbols[xs], ys=symbols[ys], counts=cs, total_pairs=int(cs.sum()), lag=d
-    )
-
-
-def _mi_and_floor(xs, ys, cs, total: int, bias_correction: str) -> tuple[float, float]:
-    """Plug-in MI in nats plus the independence bias floor (Kx-1)(Ky-1)/(2N).
-
-    With miller_madow, each of H_X, H_Y, H_XY receives the (support-1)/(2N)
-    correction; the net effect on MI is (Kx + Ky - Kxy - 1)/(2N).
-    """
-    c = cs.astype(np.float64)
-    n = float(total)
-    bx = np.bincount(xs, weights=c)
-    by = np.bincount(ys, weights=c)
-    mi = float(np.sum(c * (np.log(c * n) - np.log(bx[xs] * by[ys])))) / n
-    kx = int(np.count_nonzero(bx))
-    ky = int(np.count_nonzero(by))
-    kxy = int(cs.size)
-    floor = (kx - 1) * (ky - 1) / (2.0 * n)
-    if bias_correction == "miller_madow":
-        mi += (kx + ky - kxy - 1) / (2.0 * n)
-    return max(0.0, mi), floor
-
-
-def mi_from_counts(counts: PairCounts, config: EstimatorConfig | None = None) -> float:
-    """Mutual information (nats) of the empirical joint against its marginals."""
-    config = config or EstimatorConfig()
-    if counts.total_pairs < 1:
-        raise EmptyLagError(f"no pairs at lag {counts.lag}")
-    mi, _ = _mi_and_floor(
-        counts.xs, counts.ys, counts.counts, counts.total_pairs, config.bias_correction
-    )
-    return mi
-
-
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -285,27 +225,36 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def _lag_cells_in_order(corpus: Corpus, lags: tuple[int, ...]):
-    """An iterator of _lag_cells at each lag, in order.
+def _lag_point(groups: list[np.ndarray], k: int, config: EstimatorConfig, d: int):
+    """(d, pairs, MI nats, bias floor) at lag d; MI and floor are None below
+    config.min_pair_count pairs.
 
-    A corpus of more than one _CHUNK is counted on up to one thread per CPU,
-    ahead of the consumer, with the pending lags cancelled if the block
-    raises; a smaller corpus is counted lazily in the calling thread.
+    The floor is the independence bias (Kx-1)(Ky-1)/(2N). With miller_madow,
+    each of H_X, H_Y, H_XY receives the (support-1)/(2N) correction; the net
+    effect on MI is (Kx + Ky - Kxy - 1)/(2N).
     """
-    groups, symbols = _ranked_groups(corpus)
-    count = functools.partial(_lag_cells, groups, symbols.size)
-    workers = min(_cpu_count(), -(-corpus.n_symbols // _CHUNK))
-    if workers < 2:
-        yield map(count, lags)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(workers)
-    try:
-        yield pool.map(count, lags)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    xs, ys, cs = _lag_cells(groups, k, d)
+    total, kxy = int(cs.sum()), int(cs.size)
+    if total < config.min_pair_count:
+        return d, total, None, None
+    n = float(total)
+    c = cs.astype(np.float64)
+    # free each cell array once used: held to the return, they left glibc to
+    # trim and refault the heap top on every lag
+    del cs
+    bx = np.bincount(xs, weights=c)
+    by = np.bincount(ys, weights=c)
+    q = bx[xs]
+    del xs
+    q *= by[ys]
+    del ys
+    mi = float(np.sum(c * (np.log(c * n) - np.log(q)))) / n
+    kx = int(np.count_nonzero(bx))
+    ky = int(np.count_nonzero(by))
+    floor = (kx - 1) * (ky - 1) / (2.0 * n)
+    if config.bias_correction == "miller_madow":
+        mi += (kx + ky - kxy - 1) / (2.0 * n)
+    return d, total, max(0.0, mi), floor
 
 
 def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = None) -> DecayCurve:
@@ -313,26 +262,29 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
 
     Lags with fewer pairs are omitted and reported in meta["skipped_lags"];
     per-lag computations are independent, so evaluation order cannot change
-    the result, and the lags of a large corpus are counted on several threads.
+    the result, and the lags of a large corpus run on several threads.
     """
     config = config or EstimatorConfig()
-    kept: list[tuple[int, float, int, float]] = []
-    skipped: list[dict] = []
-    with _lag_cells_in_order(corpus, grid.lags) as cells:
-        for d, (xs, ys, cs) in zip(grid.lags, cells):
-            total = int(cs.sum())
-            if total < config.min_pair_count:
-                skipped.append({"lag": int(d), "pair_count": total})
-                continue
-            mi, floor = _mi_and_floor(xs, ys, cs, total, config.bias_correction)
-            kept.append((int(d), mi, total, floor))
+    groups, symbols = _ranked_groups(corpus)
+    point = functools.partial(_lag_point, groups, symbols.size, config)
+    workers = min(_cpu_count(), -(-corpus.n_symbols // _CHUNK))
+    if workers < 2:
+        points = list(map(point, grid.lags))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # map cancels the pending lags when one raises
+        with ThreadPoolExecutor(workers) as pool:
+            points = list(pool.map(point, grid.lags))
+    kept = [p for p in points if p[2] is not None]
+    skipped = [{"lag": d, "pair_count": total} for d, total, mi, _ in points if mi is None]
     if not kept:
         if skipped and all(s["pair_count"] == 0 for s in skipped):
             raise EmptyLagError("every requested lag has zero pairs")
         raise EstimationError(
             f"no lag reached min_pair_count={config.min_pair_count}"
         )
-    lags, mi, pairs, floors = zip(*kept)
+    lags, pairs, mi, floors = zip(*kept)
     meta = {
         "estimator": "plug-in",
         "units": "nats",
@@ -343,7 +295,7 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
         "source_meta": corpus.source_meta,
         "n_sequences": len(corpus.sequences),
         "skipped_lags": skipped,
-        "bias_floor_nats": [f for f in floors],
+        "bias_floor_nats": list(floors),
     }
     return DecayCurve(lags=np.array(lags), mi=np.array(mi), pairs=np.array(pairs), meta=meta)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from midecay import Corpus
+from midecay import Corpus, EstimatorConfig, LagGrid, decay_curve, estimator
 from midecay.estimator import DecayCurve
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -27,12 +27,19 @@ def naive_pair_counts(seqs, d):
     return joint
 
 
-def joint_dict(pc):
-    """A PairCounts' cell arrays as a {(x, y): count} dict, for the oracles."""
-    return {
-        (int(x), int(y)): int(c)
-        for x, y, c in zip(pc.xs.tolist(), pc.ys.tolist(), pc.counts.tolist())
-    }
+def joint_dict(corpus, d):
+    """The estimator's joint cells at lag d as a {(x, y): count} dict of
+    symbol ids, for the oracles; counted by its kernel, _lag_cells."""
+    groups, symbols = estimator._ranked_groups(corpus)
+    xs, ys, cs = estimator._lag_cells(groups, symbols.size, d)
+    ids = symbols.tolist()
+    return {(ids[x], ids[y]): c for x, y, c in zip(xs.tolist(), ys.tolist(), cs.tolist())}
+
+
+def lag_mi(corpus, d, bias_correction="none"):
+    """The estimator's MI at lag d, read from a one-lag decay curve."""
+    config = EstimatorConfig(bias_correction=bias_correction, min_pair_count=1)
+    return float(decay_curve(corpus, LagGrid((d,)), config).mi[0])
 
 
 def naive_mi(joint):

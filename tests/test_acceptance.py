@@ -18,7 +18,6 @@ from midecay import (
     PermutationSpec,
     build_grid,
     classify,
-    count_pairs,
     decay_curve,
     default_lag_grid,
     detect_periodicity,
@@ -28,7 +27,6 @@ from midecay import (
     intercept_dilations,
     load_idx_images,
     load_text,
-    mi_from_counts,
     noise_crossing,
     permute,
 )
@@ -45,6 +43,7 @@ from tests.conftest import (
     corpus_from_lists,
     image_corpus,
     joint_dict,
+    lag_mi,
     make_curve,
     naive_mi,
     naive_pair_counts,
@@ -138,9 +137,8 @@ class TestCriterion1OracleEquivalence:
             if not joint:
                 continue
             corpus = corpus_from_lists(seqs, k)
-            pc = count_pairs(corpus, d)
-            assert joint_dict(pc) == joint
-            assert abs(mi_from_counts(pc) - max(0.0, naive_mi(joint))) <= 1e-12
+            assert joint_dict(corpus, d) == joint
+            assert abs(lag_mi(corpus, d) - max(0.0, naive_mi(joint))) <= 1e-12
             n_checked += 1
         elapsed = time.monotonic() - start
         assert elapsed < 60, f"oracle sweep took {elapsed:.1f}s"
@@ -151,7 +149,7 @@ class TestCriterion2AnalyticMi:
     def test_alternation_ln2(self):
         seq = np.arange(100001) % 2  # odd length: pair types exactly balanced
         corpus = corpus_from_lists([seq], 2)
-        mi = mi_from_counts(count_pairs(corpus, 1))
+        mi = lag_mi(corpus, 1)
         assert abs(mi - math.log(2)) < 1e-9
 
     @pytest.mark.parametrize("period", [3, 7, 28])
@@ -173,7 +171,7 @@ class TestCriterion3MnistPeriodicity:
         mi1 = float(curve.mi[0])
         for seed in (1, 2, 3):
             permuted = permute(corpus, PermutationSpec(seed, 784))
-            assert mi_from_counts(count_pairs(permuted, 1)) < mi1
+            assert lag_mi(permuted, 1) < mi1
         report(3, "structural twin: period 28 and permutation lowers MI(1)")
 
     def test_real_mnist(self):
@@ -186,7 +184,7 @@ class TestCriterion3MnistPeriodicity:
         mi1 = float(curve.mi[0])
         for seed in (1, 2, 3):
             permuted = permute(corpus, PermutationSpec(seed, 784))
-            assert mi_from_counts(count_pairs(permuted, 1)) < mi1
+            assert lag_mi(permuted, 1) < mi1
         elapsed = time.monotonic() - start
         assert elapsed < 300, f"full-file analysis took {elapsed:.0f}s"
         report(3, f"real MNIST period 28 in {elapsed:.0f}s")

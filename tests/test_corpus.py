@@ -1,10 +1,13 @@
 """Corpus loading, tokenization, IDX parsing, and permutation behavior."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from midecay import corpus as corpus_module
 from midecay import (
     Corpus,
     CorpusError,
@@ -15,6 +18,10 @@ from midecay import (
     read_idx_images,
     write_idx_images,
 )
+
+
+# the six characters word mode splits on
+ASCII_WS = " \t\n\r\f\v"
 
 
 def write_bytes(tmp_path, name, data):
@@ -100,22 +107,35 @@ class TestLoadText:
     @settings(max_examples=200, deadline=None)
     # 300 distinct code points up to the last one take uint16 ids from a 1.1M-entry table
     @example(data="".join(chr(0x10FFFF - 7 * i) for i in range(300)).encode("utf-8"))
-    @given(data=st.binary(min_size=1, max_size=300) | st.text(min_size=1, max_size=100).map(
-        lambda t: t.encode("utf-8")))
+    # separators other than the six ASCII ones stay inside a word
+    @example(data=" a\x1cb\x1d\tc\x1e\x1f\x85d\xa0e\u3000f\n\r\x0b\x0c a".encode("utf-8"))
+    @given(data=st.binary(min_size=1, max_size=300) | st.text(
+        st.sampled_from(ASCII_WS + "\x1c\x1d\x1e\x1f\x85\xa0\u3000") | st.characters(),
+        min_size=1, max_size=100).map(lambda t: t.encode("utf-8")))
     def test_ids_are_first_occurrence_ranks(self, tmp_path_factory, data):
+        # a 7-unit block makes most inputs cross block boundaries
         p = write_bytes(tmp_path_factory.mktemp("ranks"), "t.txt", data)
-        units = [list(data)]
+        units = {"byte": list(data)}
         try:
-            units.append(list(data.decode("utf-8")))
+            text = data.decode("utf-8")
         except UnicodeDecodeError:
             pass
-        for mode, seq in zip(("byte", "char"), units):
-            c = load_text(p, mode)
-            table = {}
-            expected = [table.setdefault(u, len(table)) for u in seq]
-            assert c.sequences[0].tolist() == expected
-            assert c.sequences[0].dtype == np.min_scalar_type(len(table) - 1)
-            assert c.alphabet == tuple(table)
+        else:
+            units["char"] = list(text)
+            spaced = "".join(" " if u in ASCII_WS else u for u in text)
+            units["word"] = [w for w in spaced.split(" ") if w]
+        with mock.patch.object(corpus_module, "_RANK_BLOCK", 7):
+            for mode, seq in units.items():
+                if not seq:
+                    with pytest.raises(CorpusError, match="no words"):
+                        load_text(p, mode)
+                    continue
+                c = load_text(p, mode)
+                table = {}
+                expected = [table.setdefault(u, len(table)) for u in seq]
+                assert c.sequences[0].tolist() == expected
+                assert c.sequences[0].dtype == np.min_scalar_type(len(table) - 1)
+                assert c.alphabet == tuple(table)
 
     def test_small_dtype_leaves_decay_curve_unchanged(self, tmp_path):
         from midecay import EstimatorConfig, decay_curve, default_lag_grid
