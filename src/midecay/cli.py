@@ -61,15 +61,16 @@ def _layer_range(text):
     """Parse N or LO..HI into a list of layer counts."""
     lo, sep, hi = text.partition("..")
     try:
-        if not sep:
-            counts = [int(lo)]
-        else:
-            counts = list(range(int(lo), int(hi) + 1))
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}")
-    if not counts or any(n < 1 for n in counts):
+    if hi > sched.MAX_STANDARD_LAYERS:
+        raise argparse.ArgumentTypeError(
+            f"layer counts must be <= {sched.MAX_STANDARD_LAYERS}, got {text!r}"
+        )
+    if not 1 <= lo <= hi:
         raise argparse.ArgumentTypeError(f"layer counts must be >= 1, got {text!r}")
-    return counts
+    return list(range(lo, hi + 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,16 +184,8 @@ def cmd_fit(args) -> int:
 
 def cmd_schedule(args) -> int:
     fit = fit_mod.read_fit_json(args.fit)
-    md = sched.max_dilation(fit)
     schedule = sched.schedule_for(fit, args.layers)
-    payload = {
-        **to_dict(schedule),
-        "decay_class": fit.decay_class.value,
-        "max_dilation": md.value,
-        "max_dilation_is_lower_bound": md.is_lower_bound,
-        "fit_json": str(args.fit),
-    }
-    write_json(payload, args.out)
+    write_json({**to_dict(schedule), **sched.fit_summary(fit), "fit_json": str(args.fit)}, args.out)
     print(f"dilations {','.join(str(v) for v in schedule.dilations)}, wrote {args.out}")
     return EXIT_OK
 

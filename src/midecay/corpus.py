@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
@@ -16,6 +17,11 @@ MODES = ("byte", "char", "word", "pixel")
 # units per block of the first-occurrence scan: np.unique sorts with int64
 # index arrays, which over a whole text took about 17 bytes per byte of text
 _RANK_BLOCK = 1 << 16
+# bytes per block of the word tokenizer, which holds one bytes object per
+# token of the block only; a block is extended to the next whitespace byte
+_WORD_BLOCK = 1 << 16
+# in a bytes pattern \s is the six ASCII whitespace bytes bytes.split() splits on
+_WHITESPACE = re.compile(rb"\s")
 
 
 class CorpusError(ValueError):
@@ -116,6 +122,24 @@ def _first_occurrence_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return lut[values], units
 
 
+def _word_ids(data: bytes) -> tuple[np.ndarray, tuple[str, ...]]:
+    """First-occurrence ranks of the whitespace-separated tokens of UTF-8
+    data, as uint32, and the distinct tokens decoded in rank order."""
+    table: dict[bytes, int] = {}
+    blocks = []
+    pos = 0
+    while pos < len(data):
+        m = _WHITESPACE.search(data, pos + _WORD_BLOCK)
+        end = m.start() if m else len(data)
+        words = data[pos:end].split()
+        blocks.append(np.fromiter((table.setdefault(w, len(table)) for w in words),
+                                  dtype=np.uint32, count=len(words)))
+        pos = end
+    ids, units = np.concatenate(blocks), list(table)
+    del blocks, table  # free the block ids and the dict before decoding
+    return ids, tuple(u.decode("utf-8") for u in units)
+
+
 def load_text(path, mode: str) -> Corpus:
     """Load a text file as a single symbol sequence.
 
@@ -146,18 +170,11 @@ def load_text(path, mode: str) -> Corpus:
             alphabet = tuple(chr(int(u)) for u in units)
         else:
             del text  # decoded only to validate
-            # bytes.split() splits on the six ASCII whitespace bytes, which no
-            # multibyte UTF-8 sequence contains; no case folding
-            words = data.split()
-            if not words:
+            # no multibyte UTF-8 sequence contains an ASCII whitespace byte;
+            # no case folding
+            ids, alphabet = _word_ids(data)
+            if not alphabet:
                 raise CorpusError(f"no words in input file: {path}")
-            table: dict[bytes, int] = {}
-            ids = np.fromiter(
-                (table.setdefault(w, len(table)) for w in words),
-                dtype=np.int64,
-                count=len(words),
-            )
-            alphabet = tuple(w.decode("utf-8") for w in table)
 
     return Corpus(
         sequences=(ids.astype(np.min_scalar_type(len(alphabet) - 1), copy=False),),

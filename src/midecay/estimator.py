@@ -111,8 +111,9 @@ class DecayCurve:
         return int(self.lags[-1])
 
 
-def default_lag_grid(max_lag: int, dense_limit: int = 64, per_decade: int = 32) -> LagGrid:
-    """Dense integer lags up to dense_limit, then log-spaced lags to max_lag."""
+def default_lag_grid(max_lag: int) -> LagGrid:
+    """Unit lags up to 64, then 32 log-spaced lags per decade to max_lag."""
+    dense_limit, per_decade = 64, 32
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     lags = set(range(1, min(dense_limit, max_lag) + 1))

@@ -21,11 +21,12 @@ from .jsonio import from_dict, read_json, to_dict, write_json
 
 DEFAULT_NOISE_THRESHOLD = 1e-5
 
-# fixed classifier defaults; qualitative knobs, overridable per call
+# fixed classifier thresholds; only the noise threshold is set per call
 PERIOD_PROMINENCE = 0.20
 EXP_R2_MARGIN = 0.05
 BREAK_IMPROVEMENT_MIN = 0.15
 SSE_TIE_EPS = 1e-12
+_ONSET_REL_DROP = 0.2  # smoothed MI within 20% of its peak has not begun to decay
 
 
 class FitError(ValueError):
@@ -157,38 +158,25 @@ def _ols(x: np.ndarray, y: np.ndarray):
     return slope, float(intercept), r2, sse
 
 
-def fit_power_law(curve: DecayCurve, d_range: tuple[int, int] | None = None) -> PowerLawFit:
-    """OLS of ln MI on ln d over in-range points with MI > 0."""
+def _line_fit(curve: DecayCurve, d_range, log_x: bool, name: str):
+    """OLS of ln MI on ln d (log_x) or d over in-range points with MI > 0:
+    (slope, intercept, r2, fitted d range, n_points, n_excluded)."""
     d, mi, n_excluded = _usable(curve, d_range)
     if d.size < 3:
-        raise FitError(f"power-law fit needs >= 3 usable points, got {d.size}")
-    slope, intercept, r2, _ = _ols(np.log(d), np.log(mi))
-    return PowerLawFit(
-        slope=slope,
-        log_intercept=intercept,
-        r2=r2,
-        d_range=(int(d[0]), int(d[-1])),
-        n_points=int(d.size),
-        n_excluded=n_excluded,
-    )
+        raise FitError(f"{name} fit needs >= 3 usable points, got {d.size}")
+    slope, intercept, r2, _ = _ols(np.log(d) if log_x else d, np.log(mi))
+    return slope, intercept, r2, (int(d[0]), int(d[-1])), int(d.size), n_excluded
+
+
+def fit_power_law(curve: DecayCurve, d_range: tuple[int, int] | None = None) -> PowerLawFit:
+    """OLS of ln MI on ln d over in-range points with MI > 0."""
+    return PowerLawFit(*_line_fit(curve, d_range, True, "power-law"))
 
 
 def fit_exponential(curve: DecayCurve, d_range: tuple[int, int] | None = None) -> ExponentialFit:
     """OLS of ln MI on d; rate is the negated slope, flagged when not decaying."""
-    d, mi, n_excluded = _usable(curve, d_range)
-    if d.size < 3:
-        raise FitError(f"exponential fit needs >= 3 usable points, got {d.size}")
-    slope, intercept, r2, _ = _ols(d, np.log(mi))
-    rate = -slope
-    return ExponentialFit(
-        rate=rate,
-        log_intercept=intercept,
-        r2=r2,
-        d_range=(int(d[0]), int(d[-1])),
-        n_points=int(d.size),
-        n_excluded=n_excluded,
-        decaying=rate > 0.0,
-    )
+    slope, *rest = _line_fit(curve, d_range, False, "exponential")
+    return ExponentialFit(-slope, *rest, decaying=-slope > 0.0)
 
 
 def fit_broken_power_law(
@@ -205,24 +193,15 @@ def fit_broken_power_law(
         raise FitError(f"broken power-law fit needs >= 7 usable points, got {d.size}")
     x = np.log(d)
     y = np.log(mi)
-    _, _, _, sse_single = _ols(x, y)
-
-    candidates = []
-    for i in range(d.size):
-        n_left = i + 1
-        n_right = d.size - i
-        if n_left < 3 or n_right < 3:
-            continue
-        ls, li, lr2, lsse = _ols(x[: i + 1], y[: i + 1])
-        rs, ri, rr2, rsse = _ols(x[i:], y[i:])
-        candidates.append((int(d[i]), lsse + rsse, (ls, li, lr2, n_left), (rs, ri, rr2, n_right)))
-    if not candidates:
-        raise FitError("no break candidate admits valid two-sided fits")
-
-    best_sse = min(c[1] for c in candidates)
-    break_d, sse_broken, left_p, right_p = next(
-        c for c in candidates if c[1] <= best_sse + SSE_TIE_EPS
-    )
+    sse_single = _ols(x, y)[3]
+    # break index i leaves i + 1 points on the left and d.size - i on the right
+    sse = {
+        i: _ols(x[: i + 1], y[: i + 1])[3] + _ols(x[i:], y[i:])[3]
+        for i in range(2, d.size - 2)
+    }
+    best_sse = min(sse.values())
+    i = next(i for i, s in sse.items() if s <= best_sse + SSE_TIE_EPS)
+    break_d, sse_broken = int(d[i]), sse[i]
     # an (almost) exact single line cannot be materially improved; avoid
     # manufacturing improvement out of float residue
     if sse_single <= 1e-20:
@@ -230,10 +209,10 @@ def fit_broken_power_law(
     else:
         improvement = max(0.0, 1.0 - sse_broken / sse_single)
 
-    ls, li, lr2, nl = left_p
-    rs, ri, rr2, nr = right_p
-    left = PowerLawFit(ls, li, lr2, (int(d[0]), break_d), nl, n_excluded)
-    right = PowerLawFit(rs, ri, rr2, (break_d, int(d[-1])), nr, 0)
+    ls, li, lr2, _ = _ols(x[: i + 1], y[: i + 1])
+    rs, ri, rr2, _ = _ols(x[i:], y[i:])
+    left = PowerLawFit(ls, li, lr2, (int(d[0]), break_d), i + 1, n_excluded)
+    right = PowerLawFit(rs, ri, rr2, (break_d, int(d[-1])), int(d.size) - i, 0)
     return BrokenPowerLawFit(break_d=break_d, left=left, right=right, improvement=improvement)
 
 
@@ -247,15 +226,13 @@ def _dense_prefix(curve: DecayCurve) -> int:
     return n
 
 
-def detect_periodicity(
-    curve: DecayCurve, prominence: float = PERIOD_PROMINENCE
-) -> PeriodicitySignature | None:
+def detect_periodicity(curve: DecayCurve) -> PeriodicitySignature | None:
     """Find regularly spaced MI peaks on the dense integer-lag prefix.
 
     Peaks are sought on detrended MI (residual ratio after a power-law fit
     over the prefix): a peak must exceed both neighbors by at least
-    `prominence` relative height. Returns None unless >= 2 peaks exist with
-    spacing constant within +/-1.
+    PERIOD_PROMINENCE relative height. Returns None unless >= 2 peaks exist
+    with spacing constant within +/-1.
     """
     n = _dense_prefix(curve)
     if n < 8:
@@ -272,7 +249,7 @@ def detect_periodicity(
     peaks = [
         int(lags[i])
         for i in range(1, n - 1)
-        if ratio[i] >= (1.0 + prominence) * max(ratio[i - 1], ratio[i + 1])
+        if ratio[i] >= (1.0 + PERIOD_PROMINENCE) * max(ratio[i - 1], ratio[i + 1])
         and ratio[i] > 0
     ]
     if len(peaks) < 2:
@@ -283,7 +260,7 @@ def detect_periodicity(
         return None
     if np.any(np.abs(diffs - period) > 1):
         return None
-    return PeriodicitySignature(period=period, peak_lags=tuple(peaks), prominence=prominence)
+    return PeriodicitySignature(period, tuple(peaks), PERIOD_PROMINENCE)
 
 
 def noise_crossing(curve: DecayCurve, threshold: float = DEFAULT_NOISE_THRESHOLD) -> int | None:
@@ -314,40 +291,27 @@ def crossing_low_confidence(
     return bool(np.any(np.asarray(floors)[tail] > threshold))
 
 
-def _moving_median(v: np.ndarray, window: int = 5) -> np.ndarray:
-    half = window // 2
-    return np.array(
-        [np.median(v[max(0, i - half) : i + half + 1]) for i in range(v.size)]
-    )
-
-
-def detect_decay_onset(curve: DecayCurve, rel_drop: float = 0.2) -> int:
-    """Last lag at which the 5-point moving median of MI is still within
-    rel_drop of its peak; beyond it the smoothed curve only decays.
+def detect_decay_onset(curve: DecayCurve) -> int:
+    """Last lag at which the 5-point moving median of MI is still within 20%
+    of its peak; beyond it the smoothed curve only decays.
 
     Restores fit applicability for curves that are flat before decaying; for
     curves decaying from the start this is the first lag (give or take noise).
     """
-    m = _moving_median(curve.mi)
+    m = np.array([np.median(curve.mi[max(0, i - 2) : i + 3]) for i in range(curve.mi.size)])
     peak = float(m.max())
     if peak <= 0.0:
         return int(curve.lags[0])
-    keep = np.nonzero(m >= (1.0 - rel_drop) * peak)[0]
+    keep = np.nonzero(m >= (1.0 - _ONSET_REL_DROP) * peak)[0]
     return int(curve.lags[keep[-1]])
 
 
-def classify(
-    curve: DecayCurve,
-    threshold: float = DEFAULT_NOISE_THRESHOLD,
-    prominence: float = PERIOD_PROMINENCE,
-    exp_r2_margin: float = EXP_R2_MARGIN,
-    break_improvement_min: float = BREAK_IMPROVEMENT_MIN,
-) -> ClassifiedFit:
+def classify(curve: DecayCurve, threshold: float = DEFAULT_NOISE_THRESHOLD) -> ClassifiedFit:
     """Assign a decay class to a curve.
 
     Decision order: periodic peaks first; then exponential when its r2 beats
-    the single power law by exp_r2_margin over the decaying range; then a
-    broken power law when the break reduces SSE by break_improvement_min with
+    the single power law by EXP_R2_MARGIN over the decaying range; then a
+    broken power law when the break reduces SSE by BREAK_IMPROVEMENT_MIN with
     both segments decaying and the curve flattening past the break; otherwise
     a single power law. A significant break that steepens instead of
     flattening is log-log convexity, i.e. evidence of exponential-type decay,
@@ -365,7 +329,7 @@ def classify(
         "curve_meta": dict(curve.meta) if curve.meta else None,
     }
 
-    sig = detect_periodicity(curve, prominence)
+    sig = detect_periodicity(curve)
     if sig is not None:
         power = fit_power_law(curve)
         return ClassifiedFit(
@@ -384,7 +348,7 @@ def classify(
         expo = fit_exponential(curve, d_range)
     except FitError:
         expo = None
-    if expo is not None and expo.decaying and expo.r2 - power.r2 >= exp_r2_margin:
+    if expo is not None and expo.decaying and expo.r2 - power.r2 >= EXP_R2_MARGIN:
         return ClassifiedFit(DecayClass.EXPONENTIAL, expo=expo, **common)
 
     try:
@@ -393,7 +357,7 @@ def classify(
         broken = None
     if (
         broken is not None
-        and broken.improvement >= break_improvement_min
+        and broken.improvement >= BREAK_IMPROVEMENT_MIN
         and broken.left.slope < 0
         and broken.right.slope < 0
     ):

@@ -9,7 +9,7 @@ segment therefore receives denser dilations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fit import ClassifiedFit, DecayClass
 from .jsonio import from_dict, read_json, to_dict, write_json
@@ -18,6 +18,9 @@ GRID_FORMAT_VERSION = 1
 
 ORIGIN_STANDARD = "standard"
 ORIGIN_CURVE_FITTED = "curve_fitted"
+
+# a 64th doubling layer would reach 2**63, beyond every lag a curve or fit holds
+MAX_STANDARD_LAYERS = 63
 
 
 class ScheduleError(ValueError):
@@ -54,7 +57,10 @@ class GridSearchSpec:
     schedules: list[DilationSchedule]
     evidence: ClassifiedFit
     dataset_meta: str = ""
-    max_dilation: MaxDilation = field(default_factory=lambda: MaxDilation(1))
+
+    @property
+    def max_dilation(self) -> MaxDilation:
+        return max_dilation(self.evidence)
 
     def __post_init__(self):
         if not self.schedules:
@@ -82,6 +88,8 @@ def standard_dilations(n_layers: int) -> DilationSchedule:
     """The usual doubling progression 1, 2, 4, ..., 2^(n_layers-1)."""
     if n_layers < 1:
         raise ScheduleError("n_layers must be >= 1")
+    if n_layers > MAX_STANDARD_LAYERS:
+        raise ScheduleError(f"n_layers must be <= {MAX_STANDARD_LAYERS}, got {n_layers}")
     return DilationSchedule(
         dilations=tuple(2**i for i in range(n_layers)),
         origin=ORIGIN_STANDARD,
@@ -99,8 +107,9 @@ def capped_standard_dilations(n_layers: int, d_max: int) -> DilationSchedule:
         raise ScheduleError("n_layers must be >= 1")
     if d_max < 1:
         raise ScheduleError("d_max must be >= 1")
-    powers = [2**i for i in range(n_layers)]
-    if powers[-1] <= d_max:
+    # only powers up to d_max, which has bit_length() of them
+    powers = [2**i for i in range(min(n_layers, int(d_max).bit_length()))]
+    if len(powers) == n_layers:
         return standard_dilations(n_layers)
     kept = [p for p in powers if p < d_max]
     return DilationSchedule(
@@ -319,31 +328,31 @@ def build_grid(fit: ClassifiedFit, layer_sweep) -> GridSearchSpec:
     for s in schedules:
         unique.setdefault(s.dilations, s)
     dataset_meta = str((fit.curve_meta or {}).get("source_meta", ""))
-    return GridSearchSpec(
-        schedules=list(unique.values()), evidence=fit, dataset_meta=dataset_meta, max_dilation=md
-    )
+    return GridSearchSpec(schedules=list(unique.values()), evidence=fit, dataset_meta=dataset_meta)
 
 
-def grid_to_dict(spec: GridSearchSpec) -> dict:
-    """The spec's fields, with max_dilation flattened into two top-level keys."""
-    d = to_dict(spec)
-    md = d.pop("max_dilation")
+def fit_summary(fit: ClassifiedFit) -> dict:
+    """The decay class and max dilation of a fit, as the top-level keys of
+    the schedule and grid JSON."""
+    md = max_dilation(fit)
     return {
-        **d,
-        "format_version": GRID_FORMAT_VERSION,
-        "decay_class": spec.evidence.decay_class.value,
-        "max_dilation": md["value"],
-        "max_dilation_is_lower_bound": md["is_lower_bound"],
+        "decay_class": fit.decay_class.value,
+        "max_dilation": md.value,
+        "max_dilation_is_lower_bound": md.is_lower_bound,
     }
 
 
+def grid_to_dict(spec: GridSearchSpec) -> dict:
+    """The spec's fields plus the fit_summary of its evidence."""
+    return {**to_dict(spec), "format_version": GRID_FORMAT_VERSION, **fit_summary(spec.evidence)}
+
+
 def grid_from_dict(d: dict) -> GridSearchSpec:
+    """A spec from its fields; the fit_summary keys, derived from evidence, are ignored."""
     version = d.get("format_version") if isinstance(d, dict) else None
     if version != GRID_FORMAT_VERSION:
         raise ScheduleError(f"unsupported grid format_version {version!r}")
-    flat = {"max_dilation": "value", "max_dilation_is_lower_bound": "is_lower_bound"}
-    md = {name: d[key] for key, name in flat.items() if key in d}
-    return from_dict(GridSearchSpec, {**d, "max_dilation": md})
+    return from_dict(GridSearchSpec, d)
 
 
 def write_grid_json(spec: GridSearchSpec, path) -> None:

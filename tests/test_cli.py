@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from midecay import write_idx_images
 from midecay.cli import main
 from tests.conftest import synth_images
+
+PINNED = Path(__file__).resolve().parent / "pinned"
 
 
 def write_pattern_file(tmp_path, pattern=b"aab", reps=12000, name="seq.txt"):
@@ -201,6 +204,14 @@ class TestScheduleCommand:
         assert main(["schedule", "--fit", str(power_fit_json),
                      "--layers", "50000", "--out", str(tmp_path / "s.json")]) == 2
 
+    def test_exponential_fit_caps_any_layer_count(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["schedule", "--fit", str(PINNED / "exponential.fit.json"),
+                     "--layers", "5000", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["dilations"][-1] == doc["max_dilation"]
+        assert doc["dilations"][:-1] == [2**i for i in range(len(doc["dilations"]) - 1)]
+
     def test_single_layer(self, tmp_path, power_fit_json):
         out = tmp_path / "sched.json"
         assert main(["schedule", "--fit", str(power_fit_json),
@@ -239,6 +250,20 @@ class TestGridCommand:
         with pytest.raises(SystemExit) as exc:
             main(["grid", "--fit", "x", "--layers", "a..b", "--out", "y"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("layers", ["64", "1..64", "63..100"])
+    def test_more_than_63_layers_is_usage_error(self, capsys, layers):
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", "--fit", "x", "--layers", layers, "--out", "y"])
+        assert exc.value.code == 1
+        assert "layer counts must be <= 63" in capsys.readouterr().err
+
+    def test_63_layers_accepted(self, tmp_path):
+        gridj = tmp_path / "g.json"
+        assert main(["grid", "--fit", str(PINNED / "power.fit.json"), "--layers", "61..63",
+                     "--out", str(gridj)]) == 0
+        dilations = [s["dilations"] for s in json.loads(gridj.read_text())["schedules"]]
+        assert [2**i for i in range(63)] in dilations
 
     def test_missing_fit_is_data_error(self, tmp_path):
         assert main(["grid", "--fit", str(tmp_path / "no.json"),

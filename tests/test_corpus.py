@@ -1,5 +1,6 @@
 """Corpus loading, tokenization, IDX parsing, and permutation behavior."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -113,7 +114,8 @@ class TestLoadText:
         st.sampled_from(ASCII_WS + "\x1c\x1d\x1e\x1f\x85\xa0\u3000") | st.characters(),
         min_size=1, max_size=100).map(lambda t: t.encode("utf-8")))
     def test_ids_are_first_occurrence_ranks(self, tmp_path_factory, data):
-        # a 7-unit block makes most inputs cross block boundaries
+        # 7-unit rank blocks and 3-byte word blocks make most inputs cross
+        # block boundaries
         p = write_bytes(tmp_path_factory.mktemp("ranks"), "t.txt", data)
         units = {"byte": list(data)}
         try:
@@ -124,7 +126,7 @@ class TestLoadText:
             units["char"] = list(text)
             spaced = "".join(" " if u in ASCII_WS else u for u in text)
             units["word"] = [w for w in spaced.split(" ") if w]
-        with mock.patch.object(corpus_module, "_RANK_BLOCK", 7):
+        with mock.patch.multiple(corpus_module, _RANK_BLOCK=7, _WORD_BLOCK=3):
             for mode, seq in units.items():
                 if not seq:
                     with pytest.raises(CorpusError, match="no words"):
@@ -136,6 +138,22 @@ class TestLoadText:
                 assert c.sequences[0].tolist() == expected
                 assert c.sequences[0].dtype == np.min_scalar_type(len(table) - 1)
                 assert c.alphabet == tuple(table)
+
+    def test_word_mode_holds_no_object_per_token(self, tmp_path):
+        # the file, its decoded check copy and uint32 ids of 200k tokens take
+        # about 3.3 MB; one bytes object per token alone would take 7.4 MB
+        rng = np.random.default_rng(0)
+        words = [f"w{v}" for v in rng.integers(0, 2000, 200_000)]
+        p = write_bytes(tmp_path, "t.txt", " ".join(words).encode())
+        del words
+        tracemalloc.start()
+        try:
+            c = load_text(p, "word")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.n_symbols == 200_000 and c.alphabet_size == 2000
+        assert peak < 5e6
 
     def test_small_dtype_leaves_decay_curve_unchanged(self, tmp_path):
         from midecay import EstimatorConfig, decay_curve, default_lag_grid

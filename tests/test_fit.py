@@ -176,6 +176,22 @@ class TestBrokenPowerLawFit:
         assert fit.left.d_range[1] == fit.break_d
         assert fit.right.d_range[0] == fit.break_d
 
+    @pytest.mark.parametrize("lags, zero_lag, break_d, n_left", [
+        # the first and last admissible breaks: three usable points on one side
+        (range(1, 9), 2, 4, 3),
+        (range(1, 8), None, 5, 5),
+    ])
+    def test_break_at_the_edge_of_the_candidate_range(self, lags, zero_lag, break_d, n_left):
+        d = np.array(lags, dtype=float)
+        mi = np.where(d <= break_d, d**-2.0, break_d**-1.7 * d**-0.3)
+        mi[d == zero_lag] = 0.0
+        fit = fit_broken_power_law(make_curve(d.astype(int), mi))
+        n = int(np.count_nonzero(mi))
+        assert n == 7 and fit.break_d == break_d
+        assert (fit.left.n_points, fit.right.n_points) == (n_left, n + 1 - n_left)
+        assert fit.left.n_excluded == (zero_lag is not None) and fit.right.n_excluded == 0
+        assert abs(fit.left.slope + 2.0) < 1e-9 and abs(fit.right.slope + 0.3) < 1e-9
+
 
 class TestPeriodicity:
     def test_monotone_power_law_has_none(self):

@@ -31,7 +31,9 @@ from midecay.schedule import (
     build_grid,
     grid_from_dict,
     grid_to_dict,
+    max_dilation,
     read_grid_json,
+    write_grid_json,
 )
 from tests.test_schedule import broken_fit, exponential_fit, periodic_fit, power_fit
 
@@ -92,6 +94,17 @@ class TestPinnedBytes:
         for kind in ("fit", "schedule", "grid"):
             file = f"{name}.{kind}.json"
             assert Path(file).read_bytes() == (PINNED / file).read_bytes(), file
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_grid_max_dilation_is_derived_from_evidence(self, name, tmp_path):
+        doc = json.loads((PINNED / f"{name}.grid.json").read_bytes())
+        lower_bound = doc["max_dilation_is_lower_bound"]
+        doc.update(max_dilation=1, max_dilation_is_lower_bound=not lower_bound)
+        write_json(doc, tmp_path / "in.json")
+        spec = read_grid_json(tmp_path / "in.json")
+        assert spec.max_dilation == max_dilation(spec.evidence)
+        write_grid_json(spec, tmp_path / "out.json")
+        assert (tmp_path / "out.json").read_bytes() == (PINNED / f"{name}.grid.json").read_bytes()
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_round_trip(self, name, tmp_path):

@@ -94,10 +94,14 @@ class TestStandardDilations:
         assert standard_dilations(4).dilations == (1, 2, 4, 8)
         assert standard_dilations(9).dilations == (1, 2, 4, 8, 16, 32, 64, 128, 256)
         assert standard_dilations(1).dilations == (1,)
+        assert standard_dilations(63).dilations[-1] == 2**62
 
     def test_invalid(self):
         with pytest.raises(ScheduleError):
             standard_dilations(0)
+        # a 64th layer would reach 2**63
+        with pytest.raises(ScheduleError, match="<= 63"):
+            standard_dilations(64)
 
     def test_capped_variant(self):
         assert capped_standard_dilations(11, 780).dilations == (
@@ -106,6 +110,10 @@ class TestStandardDilations:
         assert capped_standard_dilations(9, 256).dilations == standard_dilations(9).dilations
         assert capped_standard_dilations(3, 3).dilations == (1, 2, 3)
         assert capped_standard_dilations(5, 1).dilations == (1,)
+        # a layer count past the cap builds only the powers below it
+        assert capped_standard_dilations(5000, 780).dilations[-2:] == (512, 780)
+        assert capped_standard_dilations(64, 2**62).dilations == standard_dilations(63).dilations
+        assert capped_standard_dilations(64, 2**63 - 1).dilations[-2:] == (2**62, 2**63 - 1)
 
 
 class TestInterceptDilations:
