@@ -14,8 +14,10 @@ IDX_IMAGE_MAGIC = 0x00000803
 
 MODES = ("byte", "char", "word", "pixel")
 
-# units per block of the first-occurrence scan: np.unique sorts with int64
-# index arrays, which over a whole text took about 17 bytes per byte of text
+# units per block of the first-occurrence scan, and bytes per block that char
+# mode decodes (extended to the next character boundary): np.unique sorts with
+# int64 index arrays, which over a whole text took about 17 bytes per byte of
+# text, and a whole text's UTF-32 copy took 4 bytes per character
 _RANK_BLOCK = 1 << 16
 # bytes per block of the word tokenizer, which holds one bytes object per
 # token of the block only; a block is extended to the next whitespace byte
@@ -101,25 +103,54 @@ class Corpus:
         return sum(s.shape[0] for s in self.sequences)
 
 
-def _first_occurrence_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_occurrence_ranks(blocks) -> tuple[np.ndarray, np.ndarray]:
     """Encode integer values by first-occurrence rank.
 
-    Returns (ids, units) where units[r] is the original value with rank r and
-    ids has the smallest unsigned dtype that holds every rank. Units are found
-    block by block, and ids are looked up in a table indexed by value, which
-    byte and code point values keep small.
+    blocks() yields the values as consecutive nonempty blocks; it is called
+    twice, to find the units and to look the ids up. Returns (ids, units)
+    where units[r] is the original value with rank r and ids has the smallest
+    unsigned dtype that holds every rank. Ids are looked up in a table indexed
+    by value, which byte and code point values keep small.
     """
-    seen = np.zeros(int(values.max()) + 1, dtype=bool)
+    seen = np.zeros(0, dtype=bool)
     found = []
-    for start in range(0, values.size, _RANK_BLOCK):
-        distinct, first = np.unique(values[start : start + _RANK_BLOCK], return_index=True)
+    n = 0
+    for values in blocks():
+        n += values.size
+        top = int(values.max()) + 1
+        if top > seen.size:
+            seen = np.concatenate([seen, np.zeros(top - seen.size, dtype=bool)])
+        distinct, first = np.unique(values, return_index=True)
         new = ~seen[distinct]
         seen[distinct] = True
         found.append(distinct[new][np.argsort(first[new])])
     units = np.concatenate(found)
     lut = np.empty(seen.size, dtype=np.min_scalar_type(units.size - 1))
     lut[units] = np.arange(units.size)
-    return lut[values], units
+    ids = np.empty(n, dtype=lut.dtype)
+    pos = 0
+    for values in blocks():
+        ids[pos : pos + values.size] = lut[values]
+        pos += values.size
+    return ids, units
+
+
+def _char_blocks(data: bytes):
+    """The code points of UTF-8 data, as uint32 blocks of about _RANK_BLOCK
+    bytes that each end on a character boundary, so no copy of the whole
+    text is decoded."""
+    pos = 0
+    while pos < len(data):
+        end = min(pos + _RANK_BLOCK, len(data))
+        while end < len(data) and data[end] & 0xC0 == 0x80:  # a continuation byte
+            end += 1
+        try:
+            chars = data[pos:end].decode("utf-8")
+        except UnicodeDecodeError:
+            data.decode("utf-8")  # raises the error at its position in the file
+            raise
+        yield np.frombuffer(chars.encode("utf-32-le"), dtype=np.uint32)
+        pos = end
 
 
 def _word_ids(data: bytes) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -157,19 +188,20 @@ def load_text(path, mode: str) -> Corpus:
 
     if mode == "byte":
         raw = np.frombuffer(data, dtype=np.uint8)
-        ids, units = _first_occurrence_ranks(raw)
+        ids, units = _first_occurrence_ranks(
+            lambda: (raw[i : i + _RANK_BLOCK] for i in range(0, raw.size, _RANK_BLOCK)))
         alphabet = tuple(int(u) for u in units)
     else:
         try:
-            text = data.decode("utf-8")
+            if mode == "char":
+                ids, units = _first_occurrence_ranks(lambda: _char_blocks(data))
+            else:
+                data.decode("utf-8")  # decoded whole only to validate
         except UnicodeDecodeError as exc:
             raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
         if mode == "char":
-            codepoints = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-            ids, units = _first_occurrence_ranks(codepoints)
             alphabet = tuple(chr(int(u)) for u in units)
         else:
-            del text  # decoded only to validate
             # no multibyte UTF-8 sequence contains an ASCII whitespace byte;
             # no case folding
             ids, alphabet = _word_ids(data)

@@ -22,14 +22,26 @@ from .jsonio import atomic_open
 # (K' counts the symbols that occur):
 # on 1M uniform pairs per lag bincount took 30 ms at K=1024 against unique's
 # 88 ms, but 114 ms against 86 ms at K=2048; the limit also caps each worker's
-# dense state (table plus bincount's output) at 16 MB
+# dense state (table plus bincount's output) at 16 MB, which only a one-lag
+# batch reaches
 DENSE_JOINT_LIMIT = 2**20
 
-# pair codes formed per chunk of rows or, for rows longer than this, of
-# columns (elements). For bincount a code buffer of at most 1 MB per worker
-# (uint32 codes; 512 KB of uint16 up to K' = 256), which stays in cache;
-# unique sorts its chunk anyway and then merges the chunks' cells, which made
-# a sparse lag of a 1M-token text 2.5x slower at the small size
+# cells of the table one bincount pass counts into, fixed by the uint16
+# codes: a batch of m lags codes (m+1)-tuples of ranks, so m is the largest
+# with K'^(m+1) cells here, and the table (512 KB of int64) stays in L2.
+# decay_curve time over that of one pass per lag, 1M-symbol text, 103 lags,
+# 2 threads on a 2-core Xeon, median (range) of 3 runs: K' 2 (m 15) 0.29
+# (0.28-0.35), 4 (7) 0.34 (0.33-0.40), 16 (3) 0.58 (0.54-0.72), 27 (2) 0.60
+# (0.60-0.75), 32 (2) 0.63 (0.58-0.75), 60 (1, one lag per pass) 1.03
+# (0.89-1.26); the 1,500-image bench set (K' 32) on 1 thread 0.59
+_BATCH_CELLS = np.iinfo(np.uint16).max + 1
+
+# codes per bincount call (and symbols per chunk of the rank scan): chunks of
+# whole rows or, for rows longer than this, column spans fill one code buffer
+# of at most 1 MB per worker (uint32 codes; 512 KB of the uint16 codes of a
+# batch of lags), which stays in cache; unique sorts its chunk anyway and
+# then merges the chunks' cells, which made a sparse lag of a 1M-token text
+# 2.5x slower at the small size
 _CHUNK = 1 << 18
 _SPARSE_CHUNK = 1 << 22
 
@@ -174,49 +186,120 @@ def _ranked_groups(corpus: Corpus) -> tuple[list[np.ndarray], np.ndarray]:
     return groups, symbols
 
 
-def _lag_cells(groups: list[np.ndarray], k: int, d: int):
-    """Joint cell arrays (xs, ys, counts) at lag d, sorted by (x, y).
+def _batch_size(k: int) -> int:
+    """Lags counted per pass over k occurring symbols: the most m with
+    k^(m+1) <= _BATCH_CELLS, at least 1, and 1 for the unique reduction.
+    k = 1 is batched as k = 2, so m stays finite."""
+    if k * k > DENSE_JOINT_LIMIT:
+        return 1
+    m = 1
+    while max(k, 2) ** (m + 2) <= _BATCH_CELLS:
+        m += 1
+    return m
 
-    Groups hold ranks below k. Pair codes x*k + y are formed in one reused
-    buffer of the narrowest dtype that holds k*k - 1 (uint16 up to k = 256,
-    uint32 up to 65,536, then int64), in chunks of at most _CHUNK elements (whole rows, or
-    column spans of a longer row), and reduced with bincount while
-    k*k <= DENSE_JOINT_LIMIT, else with unique over chunks of _SPARSE_CHUNK.
-    Both yield cells in code order, which fixes the MI summation order.
+
+def _codes(groups: list[np.ndarray], k: int, lags: tuple[int, ...], size: int, dtype):
+    """Base-k codes of the tuples (x_t, x_{t+d_1}, ..., x_{t+d_m}) that lie
+    within a row, in blocks of at most size codes.
+
+    Chunks of whole rows, or column spans of a longer row, fill one reused
+    buffer of the given dtype, so each block is overwritten by the next.
     """
-    dense = k * k <= DENSE_JOINT_LIMIT
-    size = _CHUNK if dense else _SPARSE_CHUNK
+    last = lags[-1]
+    buf = np.empty(min(size, sum(r.shape[0] * max(0, r.shape[1] - last) for r in groups)), dtype)
+    used = 0
+    for rows in groups:
+        if rows.shape[1] <= last:
+            continue
+        for chunk in _chunks(rows, last, size):
+            width = chunk.shape[1] - last
+            if used + chunk.shape[0] * width > buf.size:
+                yield buf[:used]
+                used = 0
+            code = buf[used : used + chunk.shape[0] * width].reshape(chunk.shape[0], width)
+            # the dtype keeps x*k from wrapping in the ranks' own, narrower dtype
+            np.multiply(chunk[:, :width], k, out=code, dtype=dtype)
+            code += chunk[:, lags[0] : lags[0] + width]
+            for d in lags[1:]:
+                code *= k
+                code += chunk[:, d : d + width]
+            used += code.size
+    if used:
+        yield buf[:used]
+
+
+def _tuple_counts(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> np.ndarray:
+    """Counts of the tuples of lags d_1 < ... < d_m, as a flat int64 table
+    indexed by their code, counted with bincount over blocks of _CHUNK codes
+    of the narrowest dtype that holds k^(m+1) - 1."""
+    cells = k ** (len(lags) + 1)
+    flat = np.zeros(cells, dtype=np.int64)
+    for block in _codes(groups, k, lags, _CHUNK, np.min_scalar_type(cells - 1)):
+        flat += np.bincount(block, minlength=cells)
+    return flat
+
+
+def _pair_tables(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> list[np.ndarray]:
+    """Flat k*k pair count tables, indexed by x*k + y, of each lag d_1 < ... < d_m.
+
+    One pass counts the (m+1)-tuples; lag d_i's table is their marginal, plus
+    the pairs whose x lies in the last d_m - d_i columns of a row (a whole row
+    shorter than d_m), which no tuple covers and which are counted directly.
+    """
+    m, last = len(lags), lags[-1]
+    joint = _tuple_counts(groups, k, lags)
+    if m == 1:
+        return [joint]
+    tails = [rows[:, max(0, rows.shape[1] - last) :] for rows in groups]
+    tables = []
+    for i, d in enumerate(lags):
+        # einsum: .sum(axis=(1, 3)) took 4-5x as long for the last lags of a batch
+        table = np.einsum("apbc->ab", joint.reshape(k, k**i, k, -1)).ravel()
+        if d < last:
+            table += _tuple_counts(tails, k, (d,))
+        tables.append(table)
+    return tables
+
+
+def _unique_cells(groups: list[np.ndarray], k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted pair codes x*k + y at lag d and their counts, with unique over
+    blocks of _SPARSE_CHUNK codes."""
     # not uint64: merged with int64 it would turn to float64, and older
     # NumPy's bincount rejects it
     dtype = np.min_scalar_type(k * k - 1) if k <= 1 << 16 else np.int64
-    flat = np.zeros(k * k if dense else 0, dtype=np.int64)
     codes, counts = [], []
-    for rows in groups:
-        cols = rows.shape[1] - d
-        if cols <= 0:
-            continue
-        buf = np.empty(min(size, rows.shape[0] * cols), dtype=dtype)
-        for chunk in _chunks(rows, d, size):
-            x, y = chunk[:, : chunk.shape[1] - d], chunk[:, d:]
-            code = buf[: x.size].reshape(x.shape)
-            # the dtype keeps x*k from wrapping in the ranks' own, narrower dtype
-            np.multiply(x, k, out=code, dtype=dtype)
-            code += y
-            if dense:
-                flat += np.bincount(code.ravel(), minlength=k * k)
-            else:
-                u, c = np.unique(code, return_counts=True)
-                codes.append(u)
-                counts.append(c)
-    if dense:
-        code = np.flatnonzero(flat)
-        cs = flat[code]
-    elif len(codes) == 1:
-        code, cs = codes[0], counts[0]
-    else:  # merge the chunks' cells; flat is empty here and stands in for no chunks
-        code, inverse = np.unique(np.concatenate([flat, *codes]), return_inverse=True)
-        cs = np.bincount(inverse, weights=np.concatenate([flat, *counts])).astype(np.int64)
-    return code // k, code % k, cs
+    for block in _codes(groups, k, (d,), _SPARSE_CHUNK, dtype):
+        u, c = np.unique(block, return_counts=True)
+        codes.append(u)
+        counts.append(c)
+    if len(codes) == 1:
+        return codes[0], counts[0]
+    # merge the chunks' cells; the empty int64 array stands in for no chunks
+    none = np.zeros(0, dtype=np.int64)
+    code, inverse = np.unique(np.concatenate([none, *codes]), return_inverse=True)
+    return code, np.bincount(inverse, weights=np.concatenate([none, *counts])).astype(np.int64)
+
+
+def _batch_cells(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> list[list]:
+    """Joint cell arrays [xs, ys, counts] of each lag, sorted by (x, y).
+
+    Groups hold ranks below k. Up to k*k <= DENSE_JOINT_LIMIT the lags are
+    counted together into dense tables, else each with unique. Both yield
+    cells in code order, which fixes the MI summation order.
+    """
+    if k * k > DENSE_JOINT_LIMIT:
+        coded = [_unique_cells(groups, k, d) for d in lags]
+    else:
+        coded = []
+        for table in _pair_tables(groups, k, lags):
+            code = np.flatnonzero(table)
+            coded.append((code, table[code]))
+    return [[code // k, code % k, cs] for code, cs in coded]
+
+
+def _lag_cells(groups: list[np.ndarray], k: int, d: int) -> list:
+    """Joint cell arrays [xs, ys, counts] at lag d, sorted by (x, y)."""
+    return _batch_cells(groups, k, (d,))[0]
 
 
 def _cpu_count() -> int:
@@ -226,22 +309,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _lag_point(groups: list[np.ndarray], k: int, config: EstimatorConfig, d: int):
-    """(d, pairs, MI nats, bias floor) at lag d; MI and floor are None below
-    config.min_pair_count pairs.
+def _mi_point(config: EstimatorConfig, d: int, cells: list):
+    """(d, pairs, MI nats, bias floor) from the cells [xs, ys, counts] of lag
+    d; MI and floor are None below config.min_pair_count pairs.
 
     The floor is the independence bias (Kx-1)(Ky-1)/(2N). With miller_madow,
     each of H_X, H_Y, H_XY receives the (support-1)/(2N) correction; the net
     effect on MI is (Kx + Ky - Kxy - 1)/(2N).
     """
-    xs, ys, cs = _lag_cells(groups, k, d)
+    # empty the list and free each cell array once used: held to the
+    # return, they left glibc to trim and refault the heap top on every lag
+    xs, ys, cs = cells
+    cells.clear()
     total, kxy = int(cs.sum()), int(cs.size)
     if total < config.min_pair_count:
         return d, total, None, None
     n = float(total)
     c = cs.astype(np.float64)
-    # free each cell array once used: held to the return, they left glibc to
-    # trim and refault the heap top on every lag
     del cs
     bx = np.bincount(xs, weights=c)
     by = np.bincount(ys, weights=c)
@@ -258,25 +342,36 @@ def _lag_point(groups: list[np.ndarray], k: int, config: EstimatorConfig, d: int
     return d, total, max(0.0, mi), floor
 
 
+def _batch_points(groups: list[np.ndarray], k: int, config: EstimatorConfig,
+                  lags: tuple[int, ...]) -> list[tuple]:
+    """The _mi_point of each lag of a batch, counted in one pass."""
+    return [_mi_point(config, d, cells) for d, cells in zip(lags, _batch_cells(groups, k, lags))]
+
+
 def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = None) -> DecayCurve:
     """MI at every grid lag with at least config.min_pair_count pairs.
 
-    Lags with fewer pairs are omitted and reported in meta["skipped_lags"];
-    per-lag computations are independent, so evaluation order cannot change
-    the result, and the lags of a large corpus run on several threads.
+    Lags with fewer pairs are omitted and reported in meta["skipped_lags"].
+    Consecutive lags are counted in batches whose size follows from the
+    number of occurring symbols; each lag's counts are exact whatever its
+    batch, so batching and evaluation order cannot change the result, and
+    the batches of a large corpus run on several threads.
     """
     config = config or EstimatorConfig()
     groups, symbols = _ranked_groups(corpus)
-    point = functools.partial(_lag_point, groups, symbols.size, config)
+    k = symbols.size
+    batch = functools.partial(_batch_points, groups, k, config)
+    m = _batch_size(k)
+    batches = [grid.lags[i : i + m] for i in range(0, len(grid.lags), m)]
     workers = min(_cpu_count(), -(-corpus.n_symbols // _CHUNK))
     if workers < 2:
-        points = list(map(point, grid.lags))
+        points = [p for ps in map(batch, batches) for p in ps]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        # map cancels the pending lags when one raises
+        # map cancels the pending batches when one raises
         with ThreadPoolExecutor(workers) as pool:
-            points = list(pool.map(point, grid.lags))
+            points = [p for ps in pool.map(batch, batches) for p in ps]
     kept = [p for p in points if p[2] is not None]
     skipped = [{"lag": d, "pair_count": total} for d, total, mi, _ in points if mi is None]
     if not kept:

@@ -64,6 +64,13 @@ class TestLoadText:
         with pytest.raises(CorpusError, match="UTF-8"):
             load_text(p, "char")
 
+    def test_char_mode_error_gives_the_position_in_the_file(self, tmp_path):
+        # the 7-byte block ends on the truncated character
+        p = write_bytes(tmp_path, "t.bin", b"abcdefghi\xe3b")
+        with mock.patch.object(corpus_module, "_RANK_BLOCK", 7), \
+                pytest.raises(CorpusError, match="position 9: invalid continuation byte"):
+            load_text(p, "char")
+
     def test_word_mode_ascii_whitespace_no_casefold(self, tmp_path):
         p = write_bytes(tmp_path, "t.txt", b"The cat\tthe cat\nThe")
         c = load_text(p, "word")
@@ -114,7 +121,8 @@ class TestLoadText:
         st.sampled_from(ASCII_WS + "\x1c\x1d\x1e\x1f\x85\xa0\u3000") | st.characters(),
         min_size=1, max_size=100).map(lambda t: t.encode("utf-8")))
     def test_ids_are_first_occurrence_ranks(self, tmp_path_factory, data):
-        # 7-unit rank blocks and 3-byte word blocks make most inputs cross
+        # 7-unit rank blocks (7-byte decode blocks in char mode, extended to
+        # a character boundary) and 3-byte word blocks make most inputs cross
         # block boundaries
         p = write_bytes(tmp_path_factory.mktemp("ranks"), "t.txt", data)
         units = {"byte": list(data)}
@@ -138,6 +146,24 @@ class TestLoadText:
                 assert c.sequences[0].tolist() == expected
                 assert c.sequences[0].dtype == np.min_scalar_type(len(table) - 1)
                 assert c.alphabet == tuple(table)
+
+    def test_char_mode_holds_no_copy_of_the_whole_text(self, tmp_path):
+        # 500k characters of 1 to 4 bytes: the file (640 KB) and the uint8 ids
+        # take 1.1 MB, and ranking one block of 64k characters about 1.1 MB;
+        # the whole text decoded takes 2 MB, and its UTF-32 copy 2 MB more
+        rng = np.random.default_rng(0)
+        chars = rng.choice(list("abcdefghij klmnopqrstuvwxyz\u00e9\u00df\u4e2d\u6587\U0001f600"),
+                           500_000)
+        p = write_bytes(tmp_path, "t.txt", "".join(chars).encode("utf-8"))
+        del chars
+        tracemalloc.start()
+        try:
+            c = load_text(p, "char")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.n_symbols == 500_000 and c.alphabet_size == 32
+        assert peak < 3e6
 
     def test_word_mode_holds_no_object_per_token(self, tmp_path):
         # the file, its decoded check copy and uint32 ids of 200k tokens take

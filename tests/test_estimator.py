@@ -308,6 +308,47 @@ class TestDecayCurve:
                 assert joint_dict(c, d) == joint
                 assert abs(mi - max(0.0, naive_mi(joint))) < 1e-12
 
+    @pytest.mark.parametrize("shape", ["text", "stack", "ragged"])
+    @pytest.mark.parametrize("k, m", [(1, 15), (2, 15), (4, 7), (16, 3), (40, 2), (41, 1)])
+    def test_lag_batches_match_oracle(self, k, m, shape):
+        # one pass counts m lags as (m+1)-tuples, and each lag's pairs beyond
+        # the batch's last lag directly; 64-code chunks split the 3,000-symbol
+        # text into column spans and the 40 x 30 stack into pairs of rows, and
+        # for m > 1 the ragged rows of 2 and m symbols end inside the first
+        # batch (d_1 < L <= d_m); each point is also bit-exact with a one-lag
+        # curve's
+        lengths = {"text": [3000], "stack": [30] * 40,
+                   "ragged": [2, m, m + 1, 40, 40, 130, 700]}[shape]
+        ids = np.random.default_rng(k).integers(0, k, sum(lengths))
+        ids[:k] = np.arange(k)  # every symbol occurs
+        seqs = np.split(ids, np.cumsum(lengths)[:-1])
+        c = corpus_from_lists(seqs, k)
+        lags = tuple(range(1, 3 * m + 2)) + (3 * m + 5, 3 * m + 9, 100, 650)
+        assert estimator._batch_size(k) == m
+        config = EstimatorConfig(min_pair_count=1)
+        with mock.patch.object(estimator, "_CHUNK", 64):
+            groups, symbols = estimator._ranked_groups(c)
+            assert symbols.size == k
+            curve = decay_curve(c, LagGrid(lags), config)
+            for i in range(0, len(lags), m):
+                batch = lags[i : i + m]
+                for d, (xs, ys, cs) in zip(batch, estimator._batch_cells(groups, k, batch)):
+                    assert dict(zip(zip(xs.tolist(), ys.tolist()), cs.tolist())) == \
+                        naive_pair_counts(seqs, d)
+        kept = [d for d in lags if naive_pair_counts(seqs, d)]
+        assert curve.lags.tolist() == kept
+        for d, mi, pairs in curve.points():
+            joint = naive_pair_counts(seqs, d)
+            assert pairs == sum(joint.values())
+            assert abs(mi - max(0.0, naive_mi(joint))) < 1e-12
+            assert mi == lag_mi(c, d)
+
+    def test_batch_size_follows_from_occurring_symbols(self):
+        assert [estimator._batch_size(k) for k in (3, 6, 7, 256, 257, 1024, 1025)] == \
+            [9, 5, 4, 1, 1, 1, 1]
+        with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", 15):
+            assert estimator._batch_size(4) == 1  # unique counts one lag at a time
+
     def test_pixel_corpus_counts_its_occurring_values(self, tmp_path):
         values = np.array([0, 8, 248, 255], dtype=np.uint8)
         picks = np.random.default_rng(19).integers(0, 4, (40, 64))
@@ -458,33 +499,38 @@ class TestDecayCurve:
         pool.assert_not_called()
 
     def test_consumer_error_cancels_pending_lags(self):
-        # an error at one lag reaches the caller and cancels the lags not yet started
+        # an error at one lag reaches the caller and cancels the batches not
+        # yet started; K' = 4 counts 7 lags per batch
         c = corpus_from_lists([np.arange(5000) % 4], 4)
         grid = LagGrid(tuple(range(1, 61)))
         calls = []
-        real = estimator._lag_cells
+        real = estimator._batch_cells
 
-        def slow_cells(groups, k, d):
-            calls.append(d)
+        def slow_cells(groups, k, lags):
+            calls.extend(lags)
             time.sleep(0.01)
-            if d == 3:
+            if 3 in lags:
                 raise MemoryError
-            return real(groups, k, d)
+            return real(groups, k, lags)
 
         with mock.patch.object(estimator, "_CHUNK", 1000), \
                 mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
-                mock.patch.object(estimator, "_lag_cells", slow_cells):
+                mock.patch.object(estimator, "_batch_cells", slow_cells):
             with pytest.raises(MemoryError):
                 decay_curve(c, grid, EstimatorConfig(min_pair_count=1))
         assert len(calls) < len(grid.lags) // 2
 
     # dense: 64 lags of 65,536 cells (1.5 MB each) would take 96 MB held at
     # once; sparse: 32 lags of about 300k cells (16 bytes each, 4.8 MB) 154 MB,
-    # so its bound is about 8 lags' cells
+    # so its bound is about 8 lags' cells; batched: K' = 4 counts 7 lags per
+    # pass into a 512 KB table, and each of 2 workers holds about 3.7 MB (its
+    # table, bincount's output and intp copy of a chunk, the code buffer), so
+    # the bound is that plus 5 batch tables, half of the 10 batches' tables
     @pytest.mark.parametrize("k, n, dtype, lags, bound", [
         (256, 1_000_000, np.uint8, 64, 32_000_000),
         (20_000, 300_000, np.uint16, 32, 40_000_000),
-    ], ids=["dense", "sparse"])
+        (4, 1_000_000, np.uint8, 64, 10_000_000),
+    ], ids=["dense", "sparse", "batched"])
     def test_thread_pool_does_not_hold_every_lag(self, k, n, dtype, lags, bound):
         seq = np.random.default_rng(18).integers(0, k, n).astype(dtype)
         c = Corpus(sequences=(seq,), alphabet_size=k, mode="word")
