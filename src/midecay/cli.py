@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -73,7 +74,9 @@ def _layer_range(text):
     return list(range(lo, hi + 1))
 
 
+@functools.cache  # built once per process: main runs once per command
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; every call returns the same one, so leave it unmodified."""
     parser = _Parser(prog="midecay", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

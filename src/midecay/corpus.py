@@ -168,7 +168,13 @@ def _word_ids(data: bytes) -> tuple[np.ndarray, tuple[str, ...]]:
         pos = end
     ids, units = np.concatenate(blocks), list(table)
     del blocks, table  # free the block ids and the dict before decoding
-    return ids, tuple(u.decode("utf-8") for u in units)
+    # every non-whitespace byte lies in a token, so decoding the distinct
+    # tokens validates the file without a decoded copy of all of it
+    try:
+        return ids, tuple(u.decode("utf-8") for u in units)
+    except UnicodeDecodeError:
+        data.decode("utf-8")  # raises the error at its position in the file
+        raise
 
 
 def load_text(path, mode: str) -> Corpus:
@@ -195,18 +201,15 @@ def load_text(path, mode: str) -> Corpus:
         try:
             if mode == "char":
                 ids, units = _first_occurrence_ranks(lambda: _char_blocks(data))
+                alphabet = tuple(chr(int(u)) for u in units)
             else:
-                data.decode("utf-8")  # decoded whole only to validate
+                # no multibyte UTF-8 sequence contains an ASCII whitespace byte;
+                # no case folding
+                ids, alphabet = _word_ids(data)
+                if not alphabet:
+                    raise CorpusError(f"no words in input file: {path}")
         except UnicodeDecodeError as exc:
             raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
-        if mode == "char":
-            alphabet = tuple(chr(int(u)) for u in units)
-        else:
-            # no multibyte UTF-8 sequence contains an ASCII whitespace byte;
-            # no case folding
-            ids, alphabet = _word_ids(data)
-            if not alphabet:
-                raise CorpusError(f"no words in input file: {path}")
 
     return Corpus(
         sequences=(ids.astype(np.min_scalar_type(len(alphabet) - 1), copy=False),),

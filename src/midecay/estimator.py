@@ -281,7 +281,8 @@ def _unique_cells(groups: list[np.ndarray], k: int, d: int) -> tuple[np.ndarray,
 
 
 def _batch_cells(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> list[list]:
-    """Joint cell arrays [xs, ys, counts] of each lag, sorted by (x, y).
+    """Joint cell arrays [xs, ys, counts] of each lag, sorted by (x, y), with
+    the ranks xs and ys as intp.
 
     Groups hold ranks below k. Up to k*k <= DENSE_JOINT_LIMIT the lags are
     counted together into dense tables, else each with unique. Both yield
@@ -294,7 +295,8 @@ def _batch_cells(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> lis
         for table in _pair_tables(groups, k, lags):
             code = np.flatnonzero(table)
             coded.append((code, table[code]))
-    return [[code // k, code % k, cs] for code, cs in coded]
+    # intp ranks: _mi_point's bincounts and gathers would each convert narrower ones
+    return [[*np.divmod(code.astype(np.intp, copy=False), k), cs] for code, cs in coded]
 
 
 def _lag_cells(groups: list[np.ndarray], k: int, d: int) -> list:

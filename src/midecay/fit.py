@@ -26,6 +26,7 @@ PERIOD_PROMINENCE = 0.20
 EXP_R2_MARGIN = 0.05
 BREAK_IMPROVEMENT_MIN = 0.15
 SSE_TIE_EPS = 1e-12
+_ROUNDOFF = 2.0**-53  # float64 unit roundoff, for the break screen's error bound
 _ONSET_REL_DROP = 0.2  # smoothed MI within 20% of its peak has not begun to decay
 
 
@@ -179,26 +180,97 @@ def fit_exponential(curve: DecayCurve, d_range: tuple[int, int] | None = None) -
     return ExponentialFit(-slope, *rest, decaying=-slope > 0.0)
 
 
+def _prefix_sse(x: np.ndarray, y: np.ndarray, scale: tuple[float, float, float]):
+    """Line-fit SSE of every prefix x[:m], y[:m] of screen data, from running
+    sums, and a bound on its distance from the SSE that _ols returns for the
+    same points of the curve (inf where the sums cannot bound it).
+
+    The screen data are ln d centred and the residuals of ln MI from one line
+    (see _break_screen); scale holds bounds of |ln d|, of |ln MI| and of the
+    rounding of those residuals per point in units of roundoff. The bound
+    sums first-order float64 error terms, doubled to cover the higher-order
+    ones. With g = (m + 8) * unit roundoff, a running sum of m rounded terms
+    is within g times the sum of their absolute values, so the moments cxx,
+    cxy, cyy lie within 8g times sum x^2, sqrt(sum x^2 * sum y^2), sum y^2 of
+    their exact values, and cxy^2 / cxx within the interval those give. _ols's SSE
+    and the SSE of the rounded residuals lie within (1 + g)(2 sqrt(t) D +
+    D^2) + g t of the exact t, where D bounds the norm of the residuals'
+    rounding and of their change by _ols's rounded slope and intercept.
+    """
+    xmax, ymax, rounding = scale
+    m = np.arange(1, x.size + 1, dtype=np.float64)
+    g = (m + 8) * _ROUNDOFF
+    sx, sy = np.cumsum(x), np.cumsum(y)
+    qxx, qyy = np.cumsum(x * x), np.cumsum(y * y)
+    cxy = np.cumsum(x * y) - sx * sy / m
+    cxx = qxx - sx * sx / m
+    cyy = qyy - sy * sy / m
+    exx, eyy, exy = 8 * g * qxx, 8 * g * qyy, 8 * g * np.sqrt(qxx * qyy)
+    del sx, sy, qxx, qyy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low = cxx - exx  # not positive for fewer than 3 points, or points too close
+        p = cxy * cxy / cxx
+        cxy = np.abs(cxy)
+        p_hi = (cxy + exy) ** 2 / low
+        err = eyy + np.maximum(p_hi - p, p - np.maximum(cxy - exy, 0) ** 2 / (cxx + exx))
+        err += 4 * _ROUNDOFF * (cyy + p_hi)
+        sse = cyy - p
+        t = np.maximum(sse + err, 0)
+        slope = (cxy + exy) / low  # bounds the segment's |slope| in ln MI
+        line = ymax + slope * xmax
+        d_slope = 4 * g * np.sqrt((cyy + eyy) / low) + m * g * g * xmax * line / low
+        dev = np.sqrt(m) * (3 * g * line + _ROUNDOFF * rounding + 2 * d_slope * xmax)
+        err += (1 + g) * (2 * np.sqrt(t) * dev + dev * dev) + g * t
+    err *= 2
+    bad = ~(low > 0)
+    err[bad], sse[bad] = np.inf, 0.0
+    return sse, err
+
+
+def _break_screen(x: np.ndarray, y: np.ndarray, slope: float, intercept: float):
+    """Screened left-plus-right SSE of every break index 2 .. x.size - 3, and
+    a bound on its distance from the sum of the two SSEs _ols returns.
+
+    Centring x and taking y's residuals from the line y = intercept + slope*x
+    (any line) leave every segment's SSE as it is, and keep the running sums
+    of the screen small, so their rounding is too.
+    """
+    xc = x - x.mean()
+    yr = y - (intercept + slope * x)
+    xmax, ymax = float(np.abs(x).max()), float(np.abs(y).max())
+    # each residual rounds by at most 3 roundoffs of |y| + |intercept| + |slope x|
+    scale = xmax, ymax, 3 * (ymax + abs(intercept) + abs(slope) * xmax)
+    left, left_err = _prefix_sse(xc, yr, scale)
+    right, right_err = _prefix_sse(xc[::-1], yr[::-1], scale)
+    # break index i leaves i + 1 points on the left and x.size - i on the right
+    inner = slice(2, x.size - 2)
+    return left[inner] + right[inner][::-1], left_err[inner] + right_err[inner][::-1]
+
+
 def fit_broken_power_law(
     curve: DecayCurve, d_range: tuple[int, int] | None = None
 ) -> BrokenPowerLawFit:
-    """Exhaustive single-break search minimizing summed log-log SSE.
+    """Single-break search minimizing summed log-log SSE.
 
     Every usable lag with >= 3 usable points on each side (the break lag is
     shared by both segments) is a candidate; ties within SSE_TIE_EPS resolve
-    to the smallest break lag.
+    to the smallest break lag. The SSE of every candidate is screened at
+    once from running sums; the candidates that can lie within SSE_TIE_EPS
+    of the least, by the screen's error bound, are refit with _ols, and the
+    rule is applied to those exact fits, so the result is that of refitting
+    every candidate.
     """
     d, mi, n_excluded = _usable(curve, d_range)
     if d.size < 7:
         raise FitError(f"broken power-law fit needs >= 7 usable points, got {d.size}")
     x = np.log(d)
     y = np.log(mi)
-    sse_single = _ols(x, y)[3]
+    slope, intercept, _, sse_single = _ols(x, y)
+    screen, err = _break_screen(x, y, slope, intercept)
+    near = np.flatnonzero(screen - err <= np.min(screen + err) + SSE_TIE_EPS) + 2
     # break index i leaves i + 1 points on the left and d.size - i on the right
-    sse = {
-        i: _ols(x[: i + 1], y[: i + 1])[3] + _ols(x[i:], y[i:])[3]
-        for i in range(2, d.size - 2)
-    }
+    fits = {int(i): (_ols(x[: i + 1], y[: i + 1]), _ols(x[i:], y[i:])) for i in near}
+    sse = {i: fl[3] + fr[3] for i, (fl, fr) in fits.items()}
     best_sse = min(sse.values())
     i = next(i for i, s in sse.items() if s <= best_sse + SSE_TIE_EPS)
     break_d, sse_broken = int(d[i]), sse[i]
@@ -209,8 +281,7 @@ def fit_broken_power_law(
     else:
         improvement = max(0.0, 1.0 - sse_broken / sse_single)
 
-    ls, li, lr2, _ = _ols(x[: i + 1], y[: i + 1])
-    rs, ri, rr2, _ = _ols(x[i:], y[i:])
+    (ls, li, lr2, _), (rs, ri, rr2, _) = fits[i]
     left = PowerLawFit(ls, li, lr2, (int(d[0]), break_d), i + 1, n_excluded)
     right = PowerLawFit(rs, ri, rr2, (break_d, int(d[-1])), int(d.size) - i, 0)
     return BrokenPowerLawFit(break_d=break_d, left=left, right=right, improvement=improvement)
@@ -291,6 +362,22 @@ def crossing_low_confidence(
     return bool(np.any(np.asarray(floors)[tail] > threshold))
 
 
+def _moving_median(values: np.ndarray) -> np.ndarray:
+    """Median of each window values[i-2 : i+3], clipped to the array: the
+    same floats as np.median, which imports numpy.ma on first use.
+
+    Each window, padded with NaN to 5 values, is sorted (NaN sorts last) and
+    yields (a + b) / 2 of its two middle values, which are one value when
+    its size is odd.
+    """
+    n = values.size
+    padded = np.concatenate([[np.nan] * 2, values, [np.nan] * 2])
+    windows = np.sort(np.lib.stride_tricks.sliding_window_view(padded, 5), axis=1)
+    i = np.arange(n)
+    size = np.minimum(i + 3, n) - np.maximum(i - 2, 0)
+    return (windows[i, (size - 1) // 2] + windows[i, size // 2]) / 2
+
+
 def detect_decay_onset(curve: DecayCurve) -> int:
     """Last lag at which the 5-point moving median of MI is still within 20%
     of its peak; beyond it the smoothed curve only decays.
@@ -298,7 +385,7 @@ def detect_decay_onset(curve: DecayCurve) -> int:
     Restores fit applicability for curves that are flat before decaying; for
     curves decaying from the start this is the first lag (give or take noise).
     """
-    m = np.array([np.median(curve.mi[max(0, i - 2) : i + 3]) for i in range(curve.mi.size)])
+    m = _moving_median(curve.mi)
     peak = float(m.max())
     if peak <= 0.0:
         return int(curve.lags[0])

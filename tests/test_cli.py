@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: pipelines, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from midecay import write_idx_images
-from midecay.cli import main
-from tests.conftest import synth_images
+from midecay.cli import build_parser, main
+from tests.conftest import REPO_ROOT, synth_images
 
 PINNED = Path(__file__).resolve().parent / "pinned"
 
@@ -320,6 +321,38 @@ class TestPipeline:
             assert main(["analyze", "--input", str(src), "--mode", "byte",
                          "--max-lag", "64", "--out", str(curve)]) == 0
             assert main(["fit", "--curve", str(curve), "--out", str(fitj)]) == 0
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_pipeline_never_imports_numpy_ma(self, tmp_path):
+        # numpy.ma takes 13 ms to import in a fresh process; np.median and
+        # some other numpy calls import it on first use
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 50, 20000)
+        for t in np.flatnonzero(rng.random(ids.size) < 0.8)[1:]:
+            ids[t] = ids[t - 1]  # a word repeats its predecessor: MI decays with lag
+        src = tmp_path / "words.txt"
+        src.write_text(" ".join(f"w{v}" for v in ids))
+        script = f"""
+import sys
+from midecay.cli import main
+d = {str(tmp_path)!r}
+for argv in (
+    ["analyze", "--input", d + "/words.txt", "--mode", "word", "--max-lag", "100",
+     "--out", d + "/c.csv"],
+    ["fit", "--curve", d + "/c.csv", "--out", d + "/f.json"],
+    ["schedule", "--fit", d + "/f.json", "--layers", "6", "--out", d + "/s.json"],
+    ["grid", "--fit", d + "/f.json", "--layers", "4..8", "--out", d + "/g.json"],
+):
+    assert main(argv) == 0, argv
+assert "numpy.ma" not in sys.modules
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_entry_point(self, tmp_path):
         src = write_pattern_file(tmp_path)

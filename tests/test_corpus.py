@@ -71,6 +71,12 @@ class TestLoadText:
                 pytest.raises(CorpusError, match="position 9: invalid continuation byte"):
             load_text(p, "char")
 
+    def test_word_mode_error_gives_the_position_in_the_file(self, tmp_path):
+        # the tokens hold the bad bytes; the message names their file offset
+        p = write_bytes(tmp_path, "t.bin", b"ab \xe3x cd\xff")
+        with pytest.raises(CorpusError, match="position 3: invalid continuation byte"):
+            load_text(p, "word")
+
     def test_word_mode_ascii_whitespace_no_casefold(self, tmp_path):
         p = write_bytes(tmp_path, "t.txt", b"The cat\tthe cat\nThe")
         c = load_text(p, "word")
@@ -166,8 +172,8 @@ class TestLoadText:
         assert peak < 3e6
 
     def test_word_mode_holds_no_object_per_token(self, tmp_path):
-        # the file, its decoded check copy and uint32 ids of 200k tokens take
-        # about 3.3 MB; one bytes object per token alone would take 7.4 MB
+        # the file and uint32 ids of 200k tokens take about 2.3 MB; one bytes
+        # object per token alone would take 7.4 MB
         rng = np.random.default_rng(0)
         words = [f"w{v}" for v in rng.integers(0, 2000, 200_000)]
         p = write_bytes(tmp_path, "t.txt", " ".join(words).encode())
@@ -180,6 +186,23 @@ class TestLoadText:
             tracemalloc.stop()
         assert c.n_symbols == 200_000 and c.alphabet_size == 2000
         assert peak < 5e6
+
+    def test_word_mode_holds_no_decoded_copy_of_the_text(self, tmp_path):
+        # 250k tokens, a third of them with a 4-byte character: the 2.2 MB
+        # file, its uint32 ids and their block copies take about 4.9 MB; the
+        # whole text decoded to validate it took 12.9 MB
+        rng = np.random.default_rng(0)
+        words = [f"w{i}\U0001f600" if i % 3 == 0 else f"mot{i}" for i in range(3000)]
+        data = " ".join(words[t] for t in rng.integers(0, 3000, 250_000)).encode()
+        p = write_bytes(tmp_path, "t.txt", data)
+        tracemalloc.start()
+        try:
+            c = load_text(p, "word")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.n_symbols == 250_000 and c.alphabet_size == 3000
+        assert peak < 3 * len(data)
 
     def test_small_dtype_leaves_decay_curve_unchanged(self, tmp_path):
         from midecay import EstimatorConfig, decay_curve, default_lag_grid

@@ -428,6 +428,15 @@ class TestDecayCurve:
         expected = naive_mi(naive_pair_counts(seqs, 2))
         assert abs(lag_mi(c, 2) - expected) < 1e-12
 
+    @pytest.mark.parametrize("k", [40, 1500])
+    def test_cell_ranks_are_intp_on_both_reductions(self, k):
+        # 40 symbols count into dense tables, 1,500 (K'^2 past
+        # DENSE_JOINT_LIMIT) with unique over uint32 codes
+        ids = np.random.default_rng(k).permutation(np.resize(np.arange(k), 3 * k))
+        groups, symbols = estimator._ranked_groups(corpus_from_lists([ids], k, mode="word"))
+        for xs, ys, _ in estimator._batch_cells(groups, symbols.size, (1, 2)):
+            assert xs.dtype == ys.dtype == np.intp
+
     def test_row_longer_than_chunk_matches_naive(self):
         # one text longer than _CHUNK is counted in column spans
         rng = np.random.default_rng(15)

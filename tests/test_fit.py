@@ -1,10 +1,13 @@
 """Decay-law fits, periodicity detection, noise crossing, classification."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from midecay import fit as fit_module
 from midecay import (
     EstimatorConfig,
     FitError,
@@ -19,8 +22,14 @@ from midecay import (
     noise_crossing,
 )
 from midecay.fit import (
+    SSE_TIE_EPS,
+    BrokenPowerLawFit,
     ClassifiedFit,
     DecayClass,
+    PowerLawFit,
+    _moving_median,
+    _ols,
+    _usable,
     crossing_low_confidence,
     read_fit_json,
     write_fit_json,
@@ -193,6 +202,119 @@ class TestBrokenPowerLawFit:
         assert abs(fit.left.slope + 2.0) < 1e-9 and abs(fit.right.slope + 0.3) < 1e-9
 
 
+def exhaustive_break(curve, d_range=None):
+    """The break search that refits every candidate with _ols: the oracle
+    that the screened search must match float for float."""
+    d, mi, n_excluded = _usable(curve, d_range)
+    x = np.log(d)
+    y = np.log(mi)
+    sse_single = _ols(x, y)[3]
+    sse = {
+        i: _ols(x[: i + 1], y[: i + 1])[3] + _ols(x[i:], y[i:])[3]
+        for i in range(2, d.size - 2)
+    }
+    best_sse = min(sse.values())
+    i = next(i for i, s in sse.items() if s <= best_sse + SSE_TIE_EPS)
+    break_d, sse_broken = int(d[i]), sse[i]
+    if sse_single <= 1e-20:
+        improvement = 0.0
+    else:
+        improvement = max(0.0, 1.0 - sse_broken / sse_single)
+    ls, li, lr2, _ = _ols(x[: i + 1], y[: i + 1])
+    rs, ri, rr2, _ = _ols(x[i:], y[i:])
+    left = PowerLawFit(ls, li, lr2, (int(d[0]), break_d), i + 1, n_excluded)
+    right = PowerLawFit(rs, ri, rr2, (break_d, int(d[-1])), int(d.size) - i, 0)
+    return BrokenPowerLawFit(break_d, left, right, improvement), sse
+
+
+def assert_same_break(curve, d_range=None):
+    """fit_broken_power_law equals the oracle exactly; returns the oracle's
+    SSE of every break index."""
+    expected, sse = exhaustive_break(curve, d_range)
+    fit = fit_broken_power_law(curve, d_range)
+    assert fit.break_d == expected.break_d
+    assert fit.left == expected.left and fit.right == expected.right
+    assert fit.improvement == expected.improvement
+    return sse
+
+
+class TestBreakScreen:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_noisy_broken_curves(self, seed):
+        for noise in (0.01, 0.05, 0.3):
+            assert_same_break(broken_curve(s1=-1.8, s2=-0.6, break_d=15, d_max=400,
+                                           noise=noise, seed=seed))
+            assert_same_break(broken_curve(noise=noise, seed=seed), (3, 200))
+
+    @pytest.mark.parametrize("lags", [range(1, 101), GRID_1000, range(7, 14)])
+    def test_exact_power_laws_tie_at_every_break(self, lags):
+        for slope in (-0.3, -1.2, -2.5):
+            assert_same_break(power_curve(slope=slope, lags=lags))
+
+    def test_near_ties_around_the_tie_epsilon(self):
+        # noise of 1e-7 to 1e-6 on a power law spreads every break's SSE over
+        # a few SSE_TIE_EPS, so the tie rule picks breaks other than the least
+        not_least = 0
+        for seed in range(30):
+            for noise in (1e-7, 3e-7, 1e-6):
+                sse = assert_same_break(power_curve(noise=noise, seed=seed, d_max=60))
+                best = min(sse.values())
+                chosen = next(i for i, s in sse.items() if s <= best + SSE_TIE_EPS)
+                not_least += sse[chosen] != best
+        assert not_least >= 10
+
+    def test_zero_mi_points(self):
+        rng = np.random.default_rng(3)
+        for seed in range(10):
+            curve = broken_curve(noise=0.05, seed=seed)
+            mi = np.where(rng.random(curve.mi.size) < 0.2, 0.0, curve.mi)
+            assert_same_break(make_curve(curve.lags, mi))
+
+    def test_seven_point_minimum(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            lags = np.sort(rng.choice(np.arange(1, 60), 7, replace=False))
+            assert_same_break(make_curve(lags, np.exp(rng.normal(-3, 1, 7))))
+
+    def test_random_short_curves(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(7, 120))
+            lags = np.unique(rng.integers(1, 3000, 2 * n))[:n]
+            noise = rng.normal(0, rng.choice([0, 1e-3, 0.1]), lags.size)
+            logmi = rng.uniform(-2, 0) * np.log(lags) + noise
+            assert_same_break(make_curve(lags, np.exp(logmi)))
+
+    def test_lags_with_one_log_raise_as_the_oracle_does(self):
+        # ln d of the last five lags is one float: every break that leaves
+        # three of them on the right is refit, and _ols raises for it
+        lags = np.array([*range(1, 9), *(10**17 + k for k in range(5))])
+        curve = make_curve(lags, lags.astype(float) ** -1.0 * np.linspace(1, 2, lags.size))
+        for search in (exhaustive_break, fit_broken_power_law):
+            with pytest.raises(FitError, match="all x values identical"):
+                search(curve)
+
+    def test_long_curve_refits_a_handful_in_linear_memory(self):
+        # 200k unit lags: refitting every break takes about 400k _ols calls,
+        # and an n x n table of the candidates 40 GB
+        n = 200_000
+        lags = np.arange(1, n + 1)
+        x = np.log(lags.astype(float))
+        logmi = np.where(x <= math.log(500), -1.5 * x, -math.log(500) - 0.5 * x)
+        logmi += np.random.default_rng(1).normal(0, 0.05, n)
+        curve = make_curve(lags, np.exp(logmi))
+        with mock.patch.object(fit_module, "_ols", wraps=_ols) as spy:
+            fit = fit_broken_power_law(curve)
+        assert spy.call_count <= 11 and 400 <= fit.break_d <= 600
+        tracemalloc.start()
+        try:
+            fit_broken_power_law(curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 8 * n  # 50 float64 arrays of the curve's length
+
+
 class TestPeriodicity:
     def test_monotone_power_law_has_none(self):
         assert detect_periodicity(power_curve(d_max=100)) is None
@@ -269,6 +391,14 @@ class TestNoiseCrossing:
 
 
 class TestDecayOnset:
+    def test_moving_median_equals_numpy_median(self):
+        # windows of 1 to 5 values, many with tied values
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            values = rng.integers(0, 4, int(rng.integers(1, 10))) * rng.choice([1e-3, 1 / 3, 7.0])
+            expected = [np.median(values[max(0, i - 2) : i + 3]) for i in range(values.size)]
+            assert _moving_median(values).tolist() == expected
+
     def test_monotone_curve_starts_near_first_lag(self):
         # the smoothing window may absorb the first shoulder point or two
         assert detect_decay_onset(power_curve(slope=-1.0, d_max=100)) <= 3
