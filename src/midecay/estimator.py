@@ -36,14 +36,18 @@ DENSE_JOINT_LIMIT = 2**20
 # (0.89-1.26); the 1,500-image bench set (K' 32) on 1 thread 0.59
 _BATCH_CELLS = np.iinfo(np.uint16).max + 1
 
-# codes per bincount call (and symbols per chunk of the rank scan): chunks of
+# codes per dense buffer (and symbols per chunk of the rank scan): chunks of
 # whole rows or, for rows longer than this, column spans fill one code buffer
 # of at most 1 MB per worker (uint32 codes; 512 KB of the uint16 codes of a
-# batch of lags), which stays in cache; unique sorts its chunk anyway and
-# then merges the chunks' cells, which made a sparse lag of a 1M-token text
-# 2.5x slower at the small size
+# batch of lags), which stays in cache; the unique path sorts its buffer
+# anyway and then merges the buffers' cells, which made a sparse lag of a
+# 1M-token text 2.5x slower at the small size
 _CHUNK = 1 << 18
 _SPARSE_CHUNK = 1 << 22
+
+# a pair costs about 35 ns on the unique path against 2.5 ns on the dense one,
+# so the threads take 16 times fewer symbols each there
+_SPARSE_COST = 16
 
 BIAS_CORRECTIONS = ("none", "miller_madow")
 
@@ -230,12 +234,19 @@ def _codes(groups: list[np.ndarray], k: int, lags: tuple[int, ...], size: int, d
 
 def _tuple_counts(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> np.ndarray:
     """Counts of the tuples of lags d_1 < ... < d_m, as a flat int64 table
-    indexed by their code, counted with bincount over blocks of _CHUNK codes
-    of the narrowest dtype that holds k^(m+1) - 1."""
+    indexed by their code, over blocks of _CHUNK codes of the narrowest dtype
+    that holds k^(m+1) - 1.
+
+    bincount copies its input to intp and returns a table-sized array, so a
+    call takes 8 codes per cell, from _CHUNK / 4 (a 512 KB copy, not 2 MB)
+    to _CHUNK (2^15 cells on, where more outputs would cost more than that).
+    """
     cells = k ** (len(lags) + 1)
     flat = np.zeros(cells, dtype=np.int64)
+    step = min(_CHUNK, max(_CHUNK >> 2, 8 * cells))
     for block in _codes(groups, k, lags, _CHUNK, np.min_scalar_type(cells - 1)):
-        flat += np.bincount(block, minlength=cells)
+        for i in range(0, block.size, step):
+            flat += np.bincount(block[i : i + step], minlength=cells)
     return flat
 
 
@@ -262,16 +273,25 @@ def _pair_tables(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> lis
 
 
 def _unique_cells(groups: list[np.ndarray], k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted pair codes x*k + y at lag d and their counts, with unique over
-    blocks of _SPARSE_CHUNK codes."""
+    """Sorted pair codes x*k + y at lag d and their counts, over blocks of
+    _SPARSE_CHUNK codes, each sorted in place in the reused code buffer and
+    run-length coded."""
     # not uint64: merged with int64 it would turn to float64, and older
     # NumPy's bincount rejects it
     dtype = np.min_scalar_type(k * k - 1) if k <= 1 << 16 else np.int64
     codes, counts = [], []
     for block in _codes(groups, k, (d,), _SPARSE_CHUNK, dtype):
-        u, c = np.unique(block, return_counts=True)
-        codes.append(u)
-        counts.append(c)
+        block.sort()
+        last = np.empty(block.size, dtype=bool)  # the last code of each run
+        np.not_equal(block[1:], block[:-1], out=last[:-1])
+        last[-1] = True
+        ends = np.flatnonzero(last)
+        del last
+        codes.append(block[ends])
+        count = np.empty_like(ends)
+        count[0] = ends[0] + 1
+        np.subtract(ends[1:], ends[:-1], out=count[1:])
+        counts.append(count)
     if len(codes) == 1:
         return codes[0], counts[0]
     # merge the chunks' cells; the empty int64 array stands in for no chunks
@@ -285,8 +305,8 @@ def _batch_cells(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> lis
     the ranks xs and ys as intp.
 
     Groups hold ranks below k. Up to k*k <= DENSE_JOINT_LIMIT the lags are
-    counted together into dense tables, else each with unique. Both yield
-    cells in code order, which fixes the MI summation order.
+    counted together into dense tables, else each by sorting its codes. Both
+    yield cells in code order, which fixes the MI summation order.
     """
     if k * k > DENSE_JOINT_LIMIT:
         coded = [_unique_cells(groups, k, d) for d in lags]
@@ -295,8 +315,16 @@ def _batch_cells(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> lis
         for table in _pair_tables(groups, k, lags):
             code = np.flatnonzero(table)
             coded.append((code, table[code]))
-    # intp ranks: _mi_point's bincounts and gathers would each convert narrower ones
-    return [[*np.divmod(code.astype(np.intp, copy=False), k), cs] for code, cs in coded]
+    cells = []
+    for code, cs in coded:
+        # a scalar divisor in the code's own dtype takes NumPy's fast integer
+        # division; intp ranks: _mi_point's bincounts and gathers would each
+        # convert narrower ones
+        xs = (code // k).astype(np.intp, copy=False)
+        ys = xs * -k
+        ys += code
+        cells.append([xs, ys, cs])
+    return cells
 
 
 def _lag_cells(groups: list[np.ndarray], k: int, d: int) -> list:
@@ -331,11 +359,19 @@ def _mi_point(config: EstimatorConfig, d: int, cells: list):
     del cs
     bx = np.bincount(xs, weights=c)
     by = np.bincount(ys, weights=c)
+    # the terms c * (ln(c n) - ln q) in two buffers, q and t
     q = bx[xs]
     del xs
-    q *= by[ys]
+    t = by[ys]
     del ys
-    mi = float(np.sum(c * (np.log(c * n) - np.log(q)))) / n
+    q *= t
+    np.log(q, out=q)
+    np.multiply(c, n, out=t)
+    np.log(t, out=t)
+    t -= q
+    del q
+    t *= c
+    mi = float(t.sum()) / n
     kx = int(np.count_nonzero(bx))
     ky = int(np.count_nonzero(by))
     floor = (kx - 1) * (ky - 1) / (2.0 * n)
@@ -365,7 +401,9 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
     batch = functools.partial(_batch_points, groups, k, config)
     m = _batch_size(k)
     batches = [grid.lags[i : i + m] for i in range(0, len(grid.lags), m)]
-    workers = min(_cpu_count(), -(-corpus.n_symbols // _CHUNK))
+    # a thread per _CHUNK symbols, or per _CHUNK / _SPARSE_COST on the unique path
+    cost = corpus.n_symbols * (_SPARSE_COST if k * k > DENSE_JOINT_LIMIT else 1)
+    workers = min(_cpu_count(), -(-cost // _CHUNK))
     if workers < 2:
         points = [p for ps in map(batch, batches) for p in ps]
     else:

@@ -289,12 +289,8 @@ def fit_broken_power_law(
 
 def _dense_prefix(curve: DecayCurve) -> int:
     """Number of leading curve points at consecutive integer lags 1, 2, 3, ..."""
-    n = 0
-    for i, d in enumerate(curve.lags):
-        if int(d) != i + 1:
-            break
-        n = i + 1
-    return n
+    off = np.flatnonzero(curve.lags != np.arange(1, curve.lags.size + 1))
+    return int(off[0]) if off.size else int(curve.lags.size)
 
 
 def detect_periodicity(curve: DecayCurve) -> PeriodicitySignature | None:
@@ -312,17 +308,15 @@ def detect_periodicity(curve: DecayCurve) -> PeriodicitySignature | None:
         base = fit_power_law(curve, (1, n))
     except FitError:
         return None
-    lags = curve.lags[:n]
-    mi = curve.mi[:n]
-    baseline = np.exp([base.log_mi_at(float(d)) for d in lags])
-    ratio = np.where(baseline > 0, mi / baseline, 0.0)
-
-    peaks = [
-        int(lags[i])
-        for i in range(1, n - 1)
-        if ratio[i] >= (1.0 + PERIOD_PROMINENCE) * max(ratio[i - 1], ratio[i + 1])
-        and ratio[i] > 0
-    ]
+    # the prefix lags are 1..n; math.log, as PowerLawFit.log_mi_at takes it:
+    # np.log differs from it in the last bit on some integers
+    log_d = np.fromiter(map(math.log, range(1, n + 1)), np.float64, n)
+    baseline = np.exp(base.log_intercept + base.slope * log_d)
+    ratio = np.where(baseline > 0, curve.mi[:n] / baseline, 0.0)
+    mid = ratio[1:-1]
+    peaks = (np.flatnonzero(
+        (mid >= (1.0 + PERIOD_PROMINENCE) * np.maximum(ratio[:-2], ratio[2:])) & (mid > 0)
+    ) + 2).tolist()  # ratio[i] is lag i + 1
     if len(peaks) < 2:
         return None
     diffs = np.diff(peaks)

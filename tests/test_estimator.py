@@ -507,6 +507,41 @@ class TestDecayCurve:
             decay_curve(c, default_lag_grid(100), EstimatorConfig(min_pair_count=1))
         pool.assert_not_called()
 
+    # the unique path (K'^2 past DENSE_JOINT_LIMIT) takes a thread per
+    # _CHUNK / _SPARSE_COST = 16,384 symbols, so a 10k-token text stays serial
+    @pytest.mark.parametrize("n, pooled", [(10_000, False), (16_384, False),
+                                           (16_385, True), (40_000, True)])
+    def test_sparse_pool_threshold(self, tmp_path, n, pooled):
+        c = corpus_from_lists([np.random.default_rng(n).integers(0, 5000, n)], 5000, mode="word")
+        grid, config = LagGrid((1, 2, 3, 5, 8, 13, 100)), EstimatorConfig(min_pair_count=1)
+        assert estimator._ranked_groups(c)[1].size ** 2 > estimator.DENSE_JOINT_LIMIT
+        with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0}):
+            serial = decay_curve(c, grid, config)
+        spy = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+        with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
+                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", spy):
+            curve = decay_curve(c, grid, config)
+        assert spy.call_args_list == ([mock.call(2)] if pooled else [])
+        curve_to_csv(serial, tmp_path / "serial.csv")
+        curve_to_csv(curve, tmp_path / "curve.csv")
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "curve.csv").read_bytes()
+        assert curve.meta == serial.meta
+
+    def test_dense_counting_copies_table_sized_slices(self):
+        # a 1M-symbol text with K' = 60 on two threads: each bincount call
+        # copies at most 64k codes to intp (512 KB), not a 256k-code block
+        # (2 MB), so the peak is about 2.5 MB; 2^18-code calls peak at 5.6 MB
+        seq = np.random.default_rng(1).integers(0, 60, 1_000_000).astype(np.uint8)
+        c = Corpus(sequences=(seq,), alphabet_size=60, mode="byte")
+        with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}):
+            tracemalloc.start()
+            try:
+                decay_curve(c, default_lag_grid(1000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3_500_000
+
     def test_consumer_error_cancels_pending_lags(self):
         # an error at one lag reaches the caller and cancels the batches not
         # yet started; K' = 4 counts 7 lags per batch

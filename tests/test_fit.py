@@ -357,6 +357,61 @@ class TestPeriodicity:
         assert sig is not None
         assert sig.period == 14
 
+    @staticmethod
+    def loop_prefix(curve):
+        n = 0
+        for i, d in enumerate(curve.lags):
+            if int(d) != i + 1:
+                break
+            n = i + 1
+        return n
+
+    def loop_periodicity(self, curve):
+        """detect_periodicity as a per-lag loop, the reference for the array form."""
+        n = self.loop_prefix(curve)
+        if n < 8:
+            return None
+        try:
+            base = fit_module.fit_power_law(curve, (1, n))
+        except FitError:
+            return None
+        baseline = np.exp([base.log_mi_at(float(d)) for d in curve.lags[:n]])
+        ratio = np.where(baseline > 0, curve.mi[:n] / baseline, 0.0)
+        peaks = [int(curve.lags[i]) for i in range(1, n - 1)
+                 if ratio[i] >= (1.0 + fit_module.PERIOD_PROMINENCE)
+                 * max(ratio[i - 1], ratio[i + 1]) and ratio[i] > 0]
+        if len(peaks) < 2:
+            return None
+        diffs = np.diff(peaks)
+        period = int(np.bincount(diffs).argmax())
+        if period < 2 or np.any(np.abs(diffs - period) > 1):
+            return None
+        return fit_module.PeriodicitySignature(period, tuple(peaks), fit_module.PERIOD_PROMINENCE)
+
+    def test_matches_per_lag_loop(self):
+        # power laws with bumps every `period` lags, noise, zero points, rounded
+        # ties and gaps that end the dense prefix; results must be equal, as
+        # the float operations are the same
+        rng = np.random.default_rng(23)
+        found = 0
+        for _ in range(400):
+            n = int(rng.integers(3, 300))
+            d = np.arange(1, n + 1)
+            if rng.random() < 0.3:
+                cut = int(rng.integers(1, n))
+                d[cut:] += int(rng.integers(1, 5))
+            bump = 1 + rng.choice([0.0, 0.3, 1.0]) * (d % int(rng.integers(2, 30)) == 0)
+            mi = d ** -rng.uniform(0.1, 2) * bump * np.exp(rng.normal(0, rng.choice([0, 0.3]), n))
+            mi[rng.random(n) < rng.choice([0, 0.1])] = 0.0
+            if rng.random() < 0.1:
+                mi = np.round(mi, 2)
+            curve = make_curve(d, mi)
+            assert fit_module._dense_prefix(curve) == self.loop_prefix(curve)
+            sig = detect_periodicity(curve)
+            assert sig == self.loop_periodicity(curve)
+            found += sig is not None
+        assert found > 50
+
 
 class TestNoiseCrossing:
     def test_inverse_square_analytic(self):
