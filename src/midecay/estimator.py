@@ -49,6 +49,15 @@ _SPARSE_CHUNK = 1 << 22
 # so the threads take 16 times fewer symbols each there
 _SPARSE_COST = 16
 
+# a gathered position costs about _GATHER_COST symbols of a one-lag dense pass
+# and m batched lags about sqrt(m) one-lag passes: 1,500 random 784-symbol rows
+# on one thread broke even at 13% non-mode symbols for K' 2 (m 15), 20% for 4
+# (7), 35-38% for 16 and 32 (3, 2), over 40% for 64 and 256 (1). A gathered
+# pass counts _GATHER_LAGS lags per block: 20k bench images, 1.05 s at 2, 0.9 at 8
+_GATHER_COST = 2.5
+_GATHER_LAGS = 8
+_GATHER_SAMPLE = 97  # the stride of the sample that finds the mode
+
 BIAS_CORRECTIONS = ("none", "miller_madow")
 
 
@@ -272,6 +281,78 @@ def _pair_tables(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> lis
     return tables
 
 
+@dataclass(frozen=True)
+class _Gathered:
+    """The positions of the ranks other than a, by block (see _gathered),
+    and the shape (n, L) of each group."""
+    a: int
+    shapes: list
+    blocks: list
+
+
+def _gathered(groups: list[np.ndarray], k: int, a: int) -> _Gathered:
+    """The groups indexed around rank a, in blocks (flat, L, pos, vals, hist,
+    off): rows of length L as one flat view, the positions pos into it of the
+    other ranks vals, column by column, their histogram, and off[c], how many
+    lie in columns below c. Blocks hold at most _CHUNK symbols of rows up to
+    _CHUNK / 2 long; a longer or lone row forms spans of _CHUNK, off None."""
+    blocks = []
+
+    def add(flat, length, pos, off):
+        pos = pos.astype(np.min_scalar_type(flat.size - 1))
+        vals = np.take(flat, pos)
+        blocks.append((flat, length, pos, vals, np.bincount(vals, minlength=k), off))
+
+    for rows in groups:
+        n, length = rows.shape
+        step = _CHUNK // length
+        if n > 1 and step > 1:
+            for i in range(0, n, step):
+                block = rows[i : i + step]
+                mask = np.not_equal(block.T, a, order="C")
+                off = np.zeros(length + 1, np.min_scalar_type(block.size))
+                np.cumsum(np.count_nonzero(mask, axis=1), out=off[1:])
+                col, pos = np.divmod(np.flatnonzero(mask), block.shape[0])
+                pos *= length
+                pos += col
+                add(block.reshape(-1), length, pos, off)
+        else:
+            for row, j in itertools.product(rows, range(0, length, _CHUNK)):
+                add(row, length, np.flatnonzero(row[j : j + _CHUNK] != a) + j, None)
+    return _Gathered(a, [rows.shape for rows in groups], blocks)
+
+
+def _gathered_tables(index: _Gathered, k: int, lags: tuple[int, ...]) -> list[np.ndarray]:
+    """Flat k*k pair count tables of each lag: rows x != a from the gathered
+    pairs, each block's for every lag while it is in cache; row a from the
+    counts C_d[y] of rank y in columns d and on, as T[a, y] = C_d[y] minus the
+    other rows' T[x, y], and T[a, a] the rest of the n (L - d) pairs."""
+    a, dtype = index.a, np.min_scalar_type(k * k - 1)
+    tables = [np.zeros(k * k, np.int64) for _ in lags]
+    ends = [np.zeros(k, np.int64) for _ in lags]  # the C_d
+    for flat, length, pos, vals, hist, off in index.blocks:
+        def below(c):
+            return int(np.searchsorted(pos, c)) if off is None else int(off[c])
+        for d, table, end in zip(lags, tables, ends):
+            if length <= d:
+                continue
+            j, i = below(length - d), below(d)
+            code = np.multiply(vals[:j], k, dtype=dtype)
+            code += np.take(flat[d:], pos[:j])
+            table += np.bincount(code, minlength=k * k)
+            if 2 * i < vals.size:  # count the smaller side
+                end += hist
+                end -= np.bincount(vals[:i], minlength=k)
+            else:
+                end += np.bincount(vals[i:], minlength=k)
+    for d, table, end in zip(lags, tables, ends):
+        square = table.reshape(k, k)
+        square[a] = end - square.sum(axis=0)
+        square[a, a] = 0
+        square[a, a] = sum(n * (L - d) for n, L in index.shapes if L > d) - table.sum()
+    return tables
+
+
 def _unique_cells(groups: list[np.ndarray], k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted pair codes x*k + y at lag d and their counts, over blocks of
     _SPARSE_CHUNK codes, each sorted in place in the reused code buffer and
@@ -300,19 +381,21 @@ def _unique_cells(groups: list[np.ndarray], k: int, d: int) -> tuple[np.ndarray,
     return code, np.bincount(inverse, weights=np.concatenate([none, *counts])).astype(np.int64)
 
 
-def _batch_cells(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> list[list]:
+def _batch_cells(groups: list[np.ndarray] | _Gathered, k: int, lags: tuple[int, ...]) -> list[list]:
     """Joint cell arrays [xs, ys, counts] of each lag, sorted by (x, y), with
     the ranks xs and ys as intp.
 
-    Groups hold ranks below k. Up to k*k <= DENSE_JOINT_LIMIT the lags are
-    counted together into dense tables, else each by sorting its codes. Both
-    yield cells in code order, which fixes the MI summation order.
+    Groups hold ranks below k, or are the _Gathered index of them. Up to
+    k*k <= DENSE_JOINT_LIMIT the lags are counted together into dense tables,
+    else each by sorting its codes. Both yield cells in code order, which
+    fixes the MI summation order.
     """
     if k * k > DENSE_JOINT_LIMIT:
         coded = [_unique_cells(groups, k, d) for d in lags]
     else:
         coded = []
-        for table in _pair_tables(groups, k, lags):
+        count = _gathered_tables if isinstance(groups, _Gathered) else _pair_tables
+        for table in count(groups, k, lags):
             code = np.flatnonzero(table)
             coded.append((code, table[code]))
     cells = []
@@ -341,7 +424,8 @@ def _cpu_count() -> int:
 
 def _mi_point(config: EstimatorConfig, d: int, cells: list):
     """(d, pairs, MI nats, bias floor) from the cells [xs, ys, counts] of lag
-    d; MI and floor are None below config.min_pair_count pairs.
+    d; MI and floor are None below config.min_pair_count pairs. The int64
+    counts are overwritten.
 
     The floor is the independence bias (Kx-1)(Ky-1)/(2N). With miller_madow,
     each of H_X, H_Y, H_XY receives the (support-1)/(2N) correction; the net
@@ -355,23 +439,24 @@ def _mi_point(config: EstimatorConfig, d: int, cells: list):
     if total < config.min_pair_count:
         return d, total, None, None
     n = float(total)
-    c = cs.astype(np.float64)
-    del cs
+    # the counts turn to float64 in their own buffer, and the terms
+    # c * (ln(c n) - ln q) replace them slice by slice: three cell arrays live
+    c = cs.view(np.float64)
+    c[...] = cs  # in place: NumPy casts exactly aliased 1-D arrays with no copy
     bx = np.bincount(xs, weights=c)
     by = np.bincount(ys, weights=c)
-    # the terms c * (ln(c n) - ln q) in two buffers, q and t
-    q = bx[xs]
-    del xs
-    t = by[ys]
-    del ys
-    q *= t
-    np.log(q, out=q)
-    np.multiply(c, n, out=t)
-    np.log(t, out=t)
-    t -= q
-    del q
-    t *= c
-    mi = float(t.sum()) / n
+    step = max(1, _CHUNK >> 2)
+    for i in range(0, c.size, step):
+        part = c[i : i + step]
+        q = bx[xs[i : i + step]]
+        t = by[ys[i : i + step]]
+        q *= t
+        np.log(q, out=q)
+        np.multiply(part, n, out=t)
+        np.log(t, out=t)
+        t -= q
+        part *= t
+    mi = float(c.sum()) / n
     kx = int(np.count_nonzero(bx))
     ky = int(np.count_nonzero(by))
     floor = (kx - 1) * (ky - 1) / (2.0 * n)
@@ -380,7 +465,7 @@ def _mi_point(config: EstimatorConfig, d: int, cells: list):
     return d, total, max(0.0, mi), floor
 
 
-def _batch_points(groups: list[np.ndarray], k: int, config: EstimatorConfig,
+def _batch_points(groups: list[np.ndarray] | _Gathered, k: int, config: EstimatorConfig,
                   lags: tuple[int, ...]) -> list[tuple]:
     """The _mi_point of each lag of a batch, counted in one pass."""
     return [_mi_point(config, d, cells) for d, cells in zip(lags, _batch_cells(groups, k, lags))]
@@ -393,16 +478,25 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
     Consecutive lags are counted in batches whose size follows from the
     number of occurring symbols; each lag's counts are exact whatever its
     batch, so batching and evaluation order cannot change the result, and
-    the batches of a large corpus run on several threads.
+    the batches of a large corpus run on several threads. A corpus mostly of
+    one symbol is counted from the positions of the others (_Gathered).
     """
     config = config or EstimatorConfig()
     groups, symbols = _ranked_groups(corpus)
     k = symbols.size
-    batch = functools.partial(_batch_points, groups, k, config)
-    m = _batch_size(k)
-    batches = [grid.lags[i : i + m] for i in range(0, len(grid.lags), m)]
-    # a thread per _CHUNK symbols, or per _CHUNK / _SPARSE_COST on the unique path
+    # a thread per _CHUNK symbols, or per _CHUNK / _SPARSE_COST on the unique
+    # path, or per _CHUNK / _GATHER_COST gathered positions
     cost = corpus.n_symbols * (_SPARSE_COST if k * k > DENSE_JOINT_LIMIT else 1)
+    m = _batch_size(k)
+    if k * k <= DENSE_JOINT_LIMIT:
+        sample = sum(np.bincount(rows.flat[::_GATHER_SAMPLE], minlength=k) for rows in groups)
+        a = int(sample.argmax())
+        if (sample.sum() - sample[a]) * _GATHER_COST * math.sqrt(m) < sample.sum():
+            groups = _gathered(groups, k, a)
+            cost = int(sum(block[2].size for block in groups.blocks) * _GATHER_COST)
+            m = max(1, min(_GATHER_LAGS, _BATCH_CELLS // (k * k)))
+    batch = functools.partial(_batch_points, groups, k, config)
+    batches = [grid.lags[i : i + m] for i in range(0, len(grid.lags), m)]
     workers = min(_cpu_count(), -(-cost // _CHUNK))
     if workers < 2:
         points = [p for ps in map(batch, batches) for p in ps]

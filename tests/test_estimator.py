@@ -598,6 +598,188 @@ class TestDecayCurve:
         assert abs(floors[0] - 9 / (2 * 4999)) < 1e-12
 
 
+def skewed(rng, n, k, background, share):
+    """n ids below k, each the background id with probability 1 - share."""
+    ids = rng.integers(0, k, n)
+    ids[rng.random(n) >= share] = background
+    return ids
+
+
+# _GATHER_COST values that force each dense source: 0 gathers every corpus,
+# inf (0 * inf is nan) gathers none
+SOURCES = {"gathered": 0.0, "contiguous": math.inf}
+
+
+class TestGatheredSource:
+    """Corpora mostly of one symbol, counted from the positions of the others."""
+
+    def both_sources(self, c, grid, tmp_path, config=ONE_PAIR):
+        """The curve from each dense source; the two CSVs must be byte-identical."""
+        curves = {}
+        for name, cost in SOURCES.items():
+            spy = mock.Mock(wraps=estimator._gathered)
+            with mock.patch.object(estimator, "_GATHER_COST", cost), \
+                    mock.patch.object(estimator, "_gathered", spy):
+                curves[name] = decay_curve(c, grid, config)
+            assert spy.called == (name == "gathered")
+            curve_to_csv(curves[name], tmp_path / f"{name}.csv")
+        csv = tmp_path / "gathered.csv"
+        assert csv.read_bytes() == (tmp_path / "contiguous.csv").read_bytes()
+        assert curves["gathered"].meta == curves["contiguous"].meta
+        return curves["gathered"]
+
+    # the stack's rows split into blocks of 2 rows at 64-symbol chunks, the
+    # image rows and the text into column spans; the ragged rows of 2 and 5
+    # symbols end before most lags
+    @pytest.mark.parametrize("chunk", [estimator._CHUNK, 64])
+    @pytest.mark.parametrize("shape", ["images", "stack", "text", "ragged", "constant"])
+    def test_matches_oracle_and_contiguous_source(self, tmp_path, shape, chunk):
+        rng = np.random.default_rng(30)
+        lengths = {"images": [784] * 40, "stack": [30] * 60, "text": [6000],
+                   "ragged": [2, 5, 40, 40, 40, 130, 700], "constant": [300, 300, 50]}[shape]
+        k = 1 if shape == "constant" else 9
+        ids = skewed(rng, sum(lengths), k, background=k // 2, share=0.15)
+        seqs = np.split(ids, np.cumsum(lengths)[:-1])
+        c = corpus_from_lists(seqs, k)
+        grid = LagGrid((1, 2, 3, 4, 27, 28, 29, 60, 299, 783))
+        with mock.patch.object(estimator, "_CHUNK", chunk):
+            curve = self.both_sources(c, grid, tmp_path)
+            groups, symbols = estimator._ranked_groups(c)
+            index = estimator._gathered(groups, symbols.size, k // 2)
+            cells = estimator._batch_cells(index, symbols.size, grid.lags)
+        for d, (xs, ys, cs) in zip(grid.lags, cells):
+            assert dict(zip(zip(xs.tolist(), ys.tolist()), cs.tolist())) == \
+                naive_pair_counts(seqs, d)
+        assert curve.lags.tolist() == [d for d in grid.lags if naive_pair_counts(seqs, d)]
+        for d, mi, pairs in curve.points():
+            joint = naive_pair_counts(seqs, d)
+            assert pairs == sum(joint.values())
+            assert abs(mi - max(0.0, naive_mi(joint))) < 1e-12
+
+    @pytest.mark.parametrize("shape", [[50] * 30, [1000], [3, 40, 40, 90]])
+    def test_any_background_symbol_gives_the_same_tables(self, shape):
+        # the fill of row a is exact whichever rank a is, the mode or not
+        ids = skewed(np.random.default_rng(31), sum(shape), 6, background=2, share=0.3)
+        groups, symbols = estimator._ranked_groups(
+            corpus_from_lists(np.split(ids, np.cumsum(shape)[:-1]), 6))
+        lags = (1, 2, 7, 50, 999)
+        with mock.patch.object(estimator, "_CHUNK", 128):
+            expected = estimator._pair_tables(groups, 6, lags)
+            for a in range(6):
+                tables = estimator._gathered_tables(estimator._gathered(groups, 6, a), 6, lags)
+                assert [t.tolist() for t in tables] == [t.tolist() for t in expected]
+
+    def test_gathered_index_is_compact(self):
+        # 32-bit positions and one byte of rank per gathered symbol, and
+        # per-column offsets, not columns
+        images = skewed(np.random.default_rng(32), 2000 * 784, 32, 0, 0.15).reshape(2000, 784)
+        groups, symbols = estimator._ranked_groups(
+            Corpus(sequences=tuple(images.astype(np.uint8)), alphabet_size=256, mode="pixel"))
+        index = estimator._gathered(groups, symbols.size, 0)
+        gathered = np.count_nonzero(images)
+        assert sum(b[2].size for b in index.blocks) == gathered
+        stored = sum(b[2].nbytes + b[3].nbytes + b[5].nbytes for b in index.blocks)
+        assert stored < 5.1 * gathered
+
+    def test_thread_pool_matches_serial_and_oracle(self, tmp_path):
+        # the threads share the index; 500-symbol blocks and spans, 8
+        # reported CPUs and about 1,520 gathered symbols (cost 3,800) give 8
+        # workers, more than the cores, switching every 10 us
+        rng = np.random.default_rng(35)
+        seqs = [skewed(rng, n, 7, 3, 0.12) for n in (8000, 5000, 600, 600, 600)]
+        c = corpus_from_lists(seqs, 7)
+        grid, result = default_lag_grid(700), {}
+        serial = self.both_sources(c, grid, tmp_path)
+        spy = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+        gathered = mock.Mock(wraps=estimator._gathered)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(estimator, "_CHUNK", 500), \
+                    mock.patch.object(estimator.os, "sched_getaffinity",
+                                      return_value=set(range(8))), \
+                    mock.patch.object(concurrent.futures, "ThreadPoolExecutor", spy), \
+                    mock.patch.object(estimator, "_gathered", gathered):
+                run = threading.Thread(
+                    target=lambda: result.update(curve=decay_curve(c, grid, ONE_PAIR)))
+                run.start()
+                run.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive() and gathered.called and spy.call_args == mock.call(8)
+        curve_to_csv(result["curve"], tmp_path / "pooled.csv")
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "gathered.csv").read_bytes()
+        for d, mi, pairs in serial.points():
+            assert abs(mi - max(0.0, naive_mi(naive_pair_counts(seqs, d)))) < 1e-12
+
+    # 400 images hold 313k symbols, which the contiguous rule would share
+    # between 2 threads, but only about 46k gathered positions; 1,200 images
+    # hold about 137k, 2.5 times which passes the 256k symbols of a thread
+    @pytest.mark.parametrize("n, pooled", [(400, False), (1200, True)])
+    def test_pixel_corpus_is_gathered_and_pooled_by_its_positions(self, tmp_path, n, pooled):
+        images = (skewed(np.random.default_rng(n), n * 784, 32, 0, 0.15) * 8).astype(np.uint8)
+        c = Corpus(sequences=tuple(images.reshape(n, 784)), alphabet_size=256, mode="pixel")
+        grid = default_lag_grid(783)
+        pool = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+        gathered = mock.Mock(wraps=estimator._gathered)
+        with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
+                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool), \
+                mock.patch.object(estimator, "_gathered", gathered):
+            curve = decay_curve(c, grid)
+        assert gathered.call_count == 1
+        assert pool.call_args_list == ([mock.call(2)] if pooled else [])
+        with mock.patch.object(estimator, "_GATHER_COST", math.inf):
+            curve_to_csv(decay_curve(c, grid), tmp_path / "contiguous.csv")
+        curve_to_csv(curve, tmp_path / "gathered.csv")
+        csv = tmp_path / "gathered.csv"
+        assert csv.read_bytes() == (tmp_path / "contiguous.csv").read_bytes()
+
+    @pytest.mark.parametrize("corpus", ["bytes", "words"])
+    def test_text_corpora_keep_their_paths(self, corpus):
+        # a byte text whose top byte is 13.5% of it, as in the bench text,
+        # stays contiguous; a word text (K'^2 past DENSE_JOINT_LIMIT) stays
+        # on the unique path
+        rng = np.random.default_rng(33)
+        if corpus == "bytes":
+            c = corpus_from_lists([skewed(rng, 300_000, 60, 7, 0.865)], 60)
+        else:
+            c = corpus_from_lists([rng.integers(0, 5000, 40_000)], 5000, mode="word")
+        pool = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+        with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
+                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool), \
+                mock.patch.object(estimator, "_gathered") as gathered:
+            decay_curve(c, LagGrid((1, 2, 3, 5, 8)))
+        gathered.assert_not_called()
+        assert pool.call_args_list == [mock.call(2)]
+
+
+class TestMiPoint:
+    def test_three_cell_arrays_live(self):
+        # 1M cells of 8 bytes each: the counts turn to float64 in their own
+        # buffer and each slice's terms replace them, so the peak is the
+        # three cell arrays and a slice's temporaries, not a fourth array
+        n = 1_000_000
+        rng = np.random.default_rng(34)
+        tracemalloc.start()
+        try:
+            xs = np.repeat(np.arange(1000), 1000).astype(np.intp)
+            ys = np.tile(np.arange(1000), 1000).astype(np.intp)
+            cs = rng.integers(1, 50, n).astype(np.int64)
+            c = cs.astype(np.float64)  # the MI as the plain formula gives it
+            q = np.bincount(xs, weights=c)[xs] * np.bincount(ys, weights=c)[ys]
+            total = c.sum()
+            expected = float((c * (np.log(c * total) - np.log(q))).sum()) / total
+            del c, q
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            d, pairs, mi, _ = estimator._mi_point(ONE_PAIR, 1, [xs, ys, cs])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs == total and mi == expected
+        assert peak - live < 2_000_000
+
+
 class TestLagGrid:
     def test_dense_only(self):
         assert default_lag_grid(10).lags == tuple(range(1, 11))
