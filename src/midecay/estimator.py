@@ -491,7 +491,10 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
     if k * k <= DENSE_JOINT_LIMIT:
         sample = sum(np.bincount(rows.flat[::_GATHER_SAMPLE], minlength=k) for rows in groups)
         a = int(sample.argmax())
-        if (sample.sum() - sample[a]) * _GATHER_COST * math.sqrt(m) < sample.sum():
+        # Python ints, so a corpus of one symbol compares 0 * cost without a
+        # numpy warning
+        total = int(sample.sum())
+        if (total - int(sample[a])) * _GATHER_COST * math.sqrt(m) < total:
             groups = _gathered(groups, k, a)
             cost = int(sum(block[2].size for block in groups.blocks) * _GATHER_COST)
             m = max(1, min(_GATHER_LAGS, _BATCH_CELLS // (k * k)))
