@@ -82,12 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="compute an MI decay curve from a dataset")
     p.add_argument("--input", required=True, help="text file or IDX image file")
-    p.add_argument("--mode", required=True, choices=["byte", "char", "word", "pixel"])
+    p.add_argument("--mode", required=True, choices=corpus_mod.MODES)
     p.add_argument("--max-lag", required=True, type=_positive_int)
-    p.add_argument("--min-pairs", type=_positive_int, default=1000)
-    p.add_argument(
-        "--bias-correction", choices=["none", "miller-madow"], default="none"
-    )
+    p.add_argument("--min-pairs", type=_positive_int, default=est.EstimatorConfig.min_pair_count)
+    p.add_argument("--bias-correction", default="none",
+                   choices=[c.replace("_", "-") for c in est.BIAS_CORRECTIONS])
     p.add_argument("--out", required=True, help="curve CSV output path")
     p.set_defaults(func=cmd_analyze)
 

@@ -199,18 +199,6 @@ def _ranked_groups(corpus: Corpus) -> tuple[list[np.ndarray], np.ndarray]:
     return groups, symbols
 
 
-def _batch_size(k: int) -> int:
-    """Lags counted per pass over k occurring symbols: the most m with
-    k^(m+1) <= _BATCH_CELLS, at least 1, and 1 for the unique reduction.
-    k = 1 is batched as k = 2, so m stays finite."""
-    if k * k > DENSE_JOINT_LIMIT:
-        return 1
-    m = 1
-    while max(k, 2) ** (m + 2) <= _BATCH_CELLS:
-        m += 1
-    return m
-
-
 def _codes(groups: list[np.ndarray], k: int, lags: tuple[int, ...], size: int, dtype):
     """Base-k codes of the tuples (x_t, x_{t+d_1}, ..., x_{t+d_m}) that lie
     within a row, in blocks of at most size codes.
@@ -281,16 +269,7 @@ def _pair_tables(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> lis
     return tables
 
 
-@dataclass(frozen=True)
-class _Gathered:
-    """The positions of the ranks other than a, by block (see _gathered),
-    and the shape (n, L) of each group."""
-    a: int
-    shapes: list
-    blocks: list
-
-
-def _gathered(groups: list[np.ndarray], k: int, a: int) -> _Gathered:
+def _gathered(groups: list[np.ndarray], k: int, a: int) -> list[tuple]:
     """The groups indexed around rank a, in blocks (flat, L, pos, vals, hist,
     off): rows of length L as one flat view, the positions pos into it of the
     other ranks vals, column by column, their histogram, and off[c], how many
@@ -319,18 +298,20 @@ def _gathered(groups: list[np.ndarray], k: int, a: int) -> _Gathered:
         else:
             for row, j in itertools.product(rows, range(0, length, _CHUNK)):
                 add(row, length, np.flatnonzero(row[j : j + _CHUNK] != a) + j, None)
-    return _Gathered(a, [rows.shape for rows in groups], blocks)
+    return blocks
 
 
-def _gathered_tables(index: _Gathered, k: int, lags: tuple[int, ...]) -> list[np.ndarray]:
-    """Flat k*k pair count tables of each lag: rows x != a from the gathered
-    pairs, each block's for every lag while it is in cache; row a from the
-    counts C_d[y] of rank y in columns d and on, as T[a, y] = C_d[y] minus the
-    other rows' T[x, y], and T[a, a] the rest of the n (L - d) pairs."""
-    a, dtype = index.a, np.min_scalar_type(k * k - 1)
+def _gathered_tables(groups: list[np.ndarray], blocks: list[tuple], k: int, a: int,
+                     lags: tuple[int, ...]) -> list[np.ndarray]:
+    """Flat k*k pair count tables of each lag from the _gathered blocks of
+    the groups around rank a: rows x != a from the gathered pairs, each
+    block's for every lag while it is in cache; row a from the counts C_d[y]
+    of rank y in columns d and on, as T[a, y] = C_d[y] minus the other rows'
+    T[x, y], and T[a, a] the rest of the n (L - d) pairs."""
+    dtype = np.min_scalar_type(k * k - 1)
     tables = [np.zeros(k * k, np.int64) for _ in lags]
     ends = [np.zeros(k, np.int64) for _ in lags]  # the C_d
-    for flat, length, pos, vals, hist, off in index.blocks:
+    for flat, length, pos, vals, hist, off in blocks:
         def below(c):
             return int(np.searchsorted(pos, c)) if off is None else int(off[c])
         for d, table, end in zip(lags, tables, ends):
@@ -349,7 +330,7 @@ def _gathered_tables(index: _Gathered, k: int, lags: tuple[int, ...]) -> list[np
         square = table.reshape(k, k)
         square[a] = end - square.sum(axis=0)
         square[a, a] = 0
-        square[a, a] = sum(n * (L - d) for n, L in index.shapes if L > d) - table.sum()
+        square[a, a] = sum(rows[:, d:].size for rows in groups) - table.sum()
     return tables
 
 
@@ -381,38 +362,56 @@ def _unique_cells(groups: list[np.ndarray], k: int, d: int) -> tuple[np.ndarray,
     return code, np.bincount(inverse, weights=np.concatenate([none, *counts])).astype(np.int64)
 
 
-def _batch_cells(groups: list[np.ndarray] | _Gathered, k: int, lags: tuple[int, ...]) -> list[list]:
-    """Joint cell arrays [xs, ys, counts] of each lag, sorted by (x, y), with
-    the ranks xs and ys as intp.
+def _counter(groups: list[np.ndarray], k: int):
+    """How the groups of ranks below k are counted, chosen here alone:
+    (count, m, cost). count maps a batch of at most m lags to each lag's
+    joint cells [xs, ys, counts], sorted by (x, y) with intp ranks, which
+    fixes the MI summation order; cost, in symbols of a one-lag dense pass,
+    sizes the thread pool.
 
-    Groups hold ranks below k, or are the _Gathered index of them. Up to
-    k*k <= DENSE_JOINT_LIMIT the lags are counted together into dense tables,
-    else each by sorting its codes. Both yield cells in code order, which
-    fixes the MI summation order.
+    Past DENSE_JOINT_LIMIT joint cells each lag's codes are sorted, one lag
+    per batch. Else a batch's lags are counted together into dense tables,
+    from the rows, m the most with k^(m+1) <= _BATCH_CELLS (k = 1 as 2), or,
+    when few symbols differ from the sampled mode a, from the positions of
+    the others.
     """
+    cost = sum(rows.size for rows in groups)
     if k * k > DENSE_JOINT_LIMIT:
-        coded = [_unique_cells(groups, k, d) for d in lags]
+        def coded(lags):
+            return [_unique_cells(groups, k, d) for d in lags]
+        m, cost = 1, cost * _SPARSE_COST
     else:
-        coded = []
-        count = _gathered_tables if isinstance(groups, _Gathered) else _pair_tables
-        for table in count(groups, k, lags):
-            code = np.flatnonzero(table)
-            coded.append((code, table[code]))
-    cells = []
-    for code, cs in coded:
-        # a scalar divisor in the code's own dtype takes NumPy's fast integer
-        # division; intp ranks: _mi_point's bincounts and gathers would each
-        # convert narrower ones
-        xs = (code // k).astype(np.intp, copy=False)
-        ys = xs * -k
-        ys += code
-        cells.append([xs, ys, cs])
-    return cells
+        m = 1
+        while max(k, 2) ** (m + 2) <= _BATCH_CELLS:
+            m += 1
+        tables = functools.partial(_pair_tables, groups, k)
+        sample = sum(np.bincount(rows.flat[::_GATHER_SAMPLE], minlength=k) for rows in groups)
+        # Python ints, so a corpus of one symbol compares 0 * cost without a
+        # numpy warning
+        a, total = int(sample.argmax()), int(sample.sum())
+        if (total - int(sample[a])) * _GATHER_COST * math.sqrt(m) < total:
+            blocks = _gathered(groups, k, a)
+            tables = functools.partial(_gathered_tables, groups, blocks, k, a)
+            cost = int(sum(block[2].size for block in blocks) * _GATHER_COST)
+            m = max(1, min(_GATHER_LAGS, _BATCH_CELLS // (k * k)))
 
+        def coded(lags):
+            return [(code, table[code])
+                    for table in tables(lags) for code in [np.flatnonzero(table)]]
 
-def _lag_cells(groups: list[np.ndarray], k: int, d: int) -> list:
-    """Joint cell arrays [xs, ys, counts] at lag d, sorted by (x, y)."""
-    return _batch_cells(groups, k, (d,))[0]
+    def count(lags):
+        cells = []
+        for code, cs in coded(lags):
+            # a scalar divisor in the code's own dtype takes NumPy's fast integer
+            # division; intp ranks: _mi_point's bincounts and gathers would each
+            # convert narrower ones
+            xs = (code // k).astype(np.intp, copy=False)
+            ys = xs * -k
+            ys += code
+            cells.append([xs, ys, cs])
+        return cells
+
+    return count, m, cost
 
 
 def _cpu_count() -> int:
@@ -465,12 +464,6 @@ def _mi_point(config: EstimatorConfig, d: int, cells: list):
     return d, total, max(0.0, mi), floor
 
 
-def _batch_points(groups: list[np.ndarray] | _Gathered, k: int, config: EstimatorConfig,
-                  lags: tuple[int, ...]) -> list[tuple]:
-    """The _mi_point of each lag of a batch, counted in one pass."""
-    return [_mi_point(config, d, cells) for d, cells in zip(lags, _batch_cells(groups, k, lags))]
-
-
 def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = None) -> DecayCurve:
     """MI at every grid lag with at least config.min_pair_count pairs.
 
@@ -478,29 +471,18 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
     Consecutive lags are counted in batches whose size follows from the
     number of occurring symbols; each lag's counts are exact whatever its
     batch, so batching and evaluation order cannot change the result, and
-    the batches of a large corpus run on several threads. A corpus mostly of
-    one symbol is counted from the positions of the others (_Gathered).
+    the batches of a large corpus run on several threads. How they are
+    counted is chosen once, by _counter.
     """
     config = config or EstimatorConfig()
     groups, symbols = _ranked_groups(corpus)
-    k = symbols.size
-    # a thread per _CHUNK symbols, or per _CHUNK / _SPARSE_COST on the unique
-    # path, or per _CHUNK / _GATHER_COST gathered positions
-    cost = corpus.n_symbols * (_SPARSE_COST if k * k > DENSE_JOINT_LIMIT else 1)
-    m = _batch_size(k)
-    if k * k <= DENSE_JOINT_LIMIT:
-        sample = sum(np.bincount(rows.flat[::_GATHER_SAMPLE], minlength=k) for rows in groups)
-        a = int(sample.argmax())
-        # Python ints, so a corpus of one symbol compares 0 * cost without a
-        # numpy warning
-        total = int(sample.sum())
-        if (total - int(sample[a])) * _GATHER_COST * math.sqrt(m) < total:
-            groups = _gathered(groups, k, a)
-            cost = int(sum(block[2].size for block in groups.blocks) * _GATHER_COST)
-            m = max(1, min(_GATHER_LAGS, _BATCH_CELLS // (k * k)))
-    batch = functools.partial(_batch_points, groups, k, config)
+    count, m, cost = _counter(groups, symbols.size)
+
+    def batch(lags):
+        return [_mi_point(config, d, cells) for d, cells in zip(lags, count(lags))]
+
     batches = [grid.lags[i : i + m] for i in range(0, len(grid.lags), m)]
-    workers = min(_cpu_count(), -(-cost // _CHUNK))
+    workers = min(_cpu_count(), -(-cost // _CHUNK))  # a thread per _CHUNK of cost
     if workers < 2:
         points = [p for ps in map(batch, batches) for p in ps]
     else:

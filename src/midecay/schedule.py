@@ -22,6 +22,11 @@ ORIGIN_CURVE_FITTED = "curve_fitted"
 # a 64th doubling layer would reach 2**63, beyond every lag a curve or fit holds
 MAX_STANDARD_LAYERS = 63
 
+# the dense-then-standard hybrid has a unit-step layer for every lag up to its
+# break, so its size grows with the break (at 10^6, 1.2 s and a 15.9 MB grid
+# JSON); past this many unit steps build_grid leaves it out
+MAX_UNIT_STEPS = 4096
+
 
 class ScheduleError(ValueError):
     pass
@@ -119,63 +124,27 @@ def capped_standard_dilations(n_layers: int, d_max: int) -> DilationSchedule:
     )
 
 
-class _PiecewisePowerModel:
-    """Monotone decreasing piecewise power law used to solve MI levels for lags."""
+def _solve(segments: list[tuple[float, float, float, float]], level: float) -> float:
+    """Lag at which contiguous, decreasing (d_lo, d_hi, slope, log_intercept)
+    power-law segments attain the given log-MI level.
 
-    def __init__(self, segments: list[tuple[float, float, float, float]]):
-        # segments: (d_lo, d_hi, slope, log_intercept), contiguous, slopes < 0
-        self.segments = segments
-
-    @classmethod
-    def from_fit(cls, fit: ClassifiedFit, d_max: int) -> "_PiecewisePowerModel":
-        if fit.broken is not None:
-            b = float(fit.broken.break_d)
-            left, right = fit.broken.left, fit.broken.right
-            if left.slope >= 0 or right.slope >= 0:
-                raise ScheduleError("broken fit has a non-decaying segment")
-            if d_max <= b:  # break beyond the target: only the left segment matters
-                return cls([(1.0, float(d_max), left.slope, left.log_intercept)])
-            return cls(
-                [
-                    (1.0, b, left.slope, left.log_intercept),
-                    (b, float(d_max), right.slope, right.log_intercept),
-                ]
-            )
-        if fit.power is not None:
-            if fit.power.slope >= 0:
-                raise ScheduleError("power-law fit is non-decaying (slope >= 0)")
-            return cls([(1.0, float(d_max), fit.power.slope, fit.power.log_intercept)])
-        raise ScheduleError(
-            f"{fit.decay_class.value} fit carries no power-law model to invert"
-        )
-
-    def log_mi(self, d: float) -> float:
-        for _, d_hi, slope, intercept in self.segments:
-            if d <= d_hi:
-                return intercept + slope * math.log(d)
-        _, _, slope, intercept = self.segments[-1]
-        return intercept + slope * math.log(d)
-
-    def solve(self, level: float) -> float:
-        """Lag at which the model attains the given log-MI level.
-
-        Levels falling inside a discontinuity at a segment joint map to the
-        joint lag itself.
-        """
-        for i, (d_lo, d_hi, slope, intercept) in enumerate(self.segments):
-            top = intercept + slope * math.log(d_lo)
-            bottom = intercept + slope * math.log(d_hi)
-            if level > top and i == 0:
-                return d_lo
-            if level >= bottom:
-                d = math.exp((level - intercept) / slope)
-                return min(max(d, d_lo), d_hi)
-            if i + 1 < len(self.segments):
-                nxt = self.segments[i + 1]
-                nxt_top = nxt[3] + nxt[2] * math.log(nxt[0])
-                if level > nxt_top:
-                    return d_hi  # joint lag absorbs the discontinuity gap
-        return self.segments[-1][1]
+    Levels falling inside a discontinuity at a segment joint map to the
+    joint lag itself.
+    """
+    for i, (d_lo, d_hi, slope, intercept) in enumerate(segments):
+        top = intercept + slope * math.log(d_lo)
+        bottom = intercept + slope * math.log(d_hi)
+        if level > top and i == 0:
+            return d_lo
+        if level >= bottom:
+            d = math.exp((level - intercept) / slope)
+            return min(max(d, d_lo), d_hi)
+        if i + 1 < len(segments):
+            nxt = segments[i + 1]
+            nxt_top = nxt[3] + nxt[2] * math.log(nxt[0])
+            if level > nxt_top:
+                return d_hi  # joint lag absorbs the discontinuity gap
+    return segments[-1][1]
 
 
 def _integerize(targets: list[float], d_max: int) -> list[int]:
@@ -213,13 +182,29 @@ def intercept_dilations(fit: ClassifiedFit, n_layers: int, d_max: int) -> Dilati
         raise ScheduleError(
             f"cannot fit {n_layers} strictly increasing dilations into [1, {d_max}]"
         )
-    model = _PiecewisePowerModel.from_fit(fit, d_max)
-    top = model.log_mi(1.0)
-    bottom = model.log_mi(float(d_max))
+    if fit.broken is not None:
+        b = float(fit.broken.break_d)
+        left, right = fit.broken.left, fit.broken.right
+        if left.slope >= 0 or right.slope >= 0:
+            raise ScheduleError("broken fit has a non-decaying segment")
+        # a break beyond the target leaves only the left segment
+        segments = [(1.0, min(b, float(d_max)), left.slope, left.log_intercept)]
+        if d_max > b:
+            segments.append((b, float(d_max), right.slope, right.log_intercept))
+    elif fit.power is not None:
+        if fit.power.slope >= 0:
+            raise ScheduleError("power-law fit is non-decaying (slope >= 0)")
+        segments = [(1.0, float(d_max), fit.power.slope, fit.power.log_intercept)]
+    else:
+        raise ScheduleError(f"{fit.decay_class.value} fit carries no power-law model to invert")
+    d_lo, _, slope, intercept = segments[0]
+    top = intercept + slope * math.log(d_lo)
+    _, d_hi, slope, intercept = segments[-1]
+    bottom = intercept + slope * math.log(d_hi)
     if not -math.inf < bottom < top:
         raise ScheduleError("fitted model does not decay between 1 and d_max")
     step = (bottom - top) / (n_layers - 1)
-    targets = [model.solve(top + k * step) for k in range(n_layers)]
+    targets = [_solve(segments, top + k * step) for k in range(n_layers)]
     dilations = _integerize(targets, d_max)
     return DilationSchedule(
         dilations=tuple(dilations),
@@ -252,9 +237,8 @@ def _hybrid_standard_then_sparse(break_d: int, d_max: int) -> DilationSchedule:
         head.append(head[-1] * 2)
     h = head[-1]
     if d_max <= h:
-        dil = [p for p in head if p < d_max] + [d_max] if d_max > 1 else [1]
         return DilationSchedule(
-            dilations=tuple(dil),
+            dilations=capped_standard_dilations(len(head), d_max).dilations,
             origin=ORIGIN_CURVE_FITTED,
             rationale=f"standard head capped at {d_max}",
         )
@@ -300,8 +284,9 @@ def build_grid(fit: ClassifiedFit, layer_sweep) -> GridSearchSpec:
     Exponential decay gets schedule_for's capped standard schedule for every
     layer count and no curve-fitted ones. Other fits get the standard
     schedule for every layer count, plus the curve-fitted schedule where it
-    exists, plus the two hybrid patterns for broken fits. Duplicates are
-    dropped, keeping first occurrence.
+    exists, plus the two hybrid patterns for broken fits, the unit-step one
+    only up to MAX_UNIT_STEPS steps. Duplicates are dropped, keeping first
+    occurrence.
     """
     layer_sweep = tuple(layer_sweep)
     if not layer_sweep:
@@ -321,7 +306,8 @@ def build_grid(fit: ClassifiedFit, layer_sweep) -> GridSearchSpec:
             except ScheduleError:
                 continue  # non-decaying model: standards remain the grid
         if fit.broken is not None:
-            schedules.append(_hybrid_dense_then_standard(fit.broken.break_d, md.value))
+            if min(fit.broken.break_d, md.value) <= MAX_UNIT_STEPS:
+                schedules.append(_hybrid_dense_then_standard(fit.broken.break_d, md.value))
             schedules.append(_hybrid_standard_then_sparse(fit.broken.break_d, md.value))
 
     unique: dict[tuple[int, ...], DilationSchedule] = {}

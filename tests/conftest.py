@@ -27,11 +27,18 @@ def naive_pair_counts(seqs, d):
     return joint
 
 
+def plan_cells(groups, k, lags):
+    """The joint cells [xs, ys, counts] of each lag, counted by the
+    estimator's counting plan, _counter, in batches of the size it gives."""
+    count, m, _ = estimator._counter(groups, k)
+    return [cells for i in range(0, len(lags), m) for cells in count(lags[i : i + m])]
+
+
 def joint_dict(corpus, d):
     """The estimator's joint cells at lag d as a {(x, y): count} dict of
-    symbol ids, for the oracles; counted by its kernel, _lag_cells."""
+    symbol ids, for the oracles; counted by its counting plan."""
     groups, symbols = estimator._ranked_groups(corpus)
-    xs, ys, cs = estimator._lag_cells(groups, symbols.size, d)
+    (xs, ys, cs), = plan_cells(groups, symbols.size, (d,))
     ids = symbols.tolist()
     return {(ids[x], ids[y]): c for x, y, c in zip(xs.tolist(), ys.tolist(), cs.tolist())}
 

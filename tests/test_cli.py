@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from midecay import write_idx_images
+from midecay import corpus, estimator, write_idx_images
 from midecay.cli import build_parser, main
 from tests.conftest import REPO_ROOT, synth_images
 
@@ -266,6 +267,20 @@ class TestGridCommand:
         dilations = [s["dilations"] for s in json.loads(gridj.read_text())["schedules"]]
         assert [2**i for i in range(63)] in dilations
 
+    def test_far_break_grid_is_quick(self, tmp_path):
+        # a break at lag 10^12 would take a unit-step hybrid of 10^12 layers
+        doc = json.loads((PINNED / "broken.fit.json").read_text())
+        doc.update(max_lag=10**12, noise_crossing_d=None)
+        doc["broken"]["break_d"] = 10**12
+        fitj, gridj = tmp_path / "f.json", tmp_path / "g.json"
+        fitj.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["grid", "--fit", str(fitj), "--layers", "4..6", "--out", str(gridj)]) == 0
+        assert time.perf_counter() - start < 1.0
+        rationales = [s["rationale"] for s in json.loads(gridj.read_text())["schedules"]]
+        assert not any(r.startswith("unit steps") for r in rationales)
+        assert any(r.startswith("standard steps") for r in rationales)
+
     def test_missing_fit_is_data_error(self, tmp_path):
         assert main(["grid", "--fit", str(tmp_path / "no.json"),
                      "--layers", "2..4", "--out", str(tmp_path / "g.json")]) == 2
@@ -324,6 +339,14 @@ class TestPipeline:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+    def test_parser_takes_its_choices_from_the_library(self):
+        analyze = build_parser()._subparsers._group_actions[0].choices["analyze"]
+        options = {a.dest: a for a in analyze._actions}
+        assert tuple(options["mode"].choices) == corpus.MODES
+        assert options["min_pairs"].default == estimator.EstimatorConfig().min_pair_count
+        assert [c.replace("-", "_") for c in options["bias_correction"].choices] == \
+            list(estimator.BIAS_CORRECTIONS)
 
     def test_pipeline_never_imports_numpy_ma(self, tmp_path):
         # numpy.ma takes 13 ms to import in a fresh process; np.median and

@@ -34,6 +34,7 @@ from tests.conftest import (
     naive_mi_miller_madow,
     naive_pair_counts,
     pattern_corpus,
+    plan_cells,
 )
 
 # value computed with the hand-enumerated oracle over the 7 lag-1 pairs of
@@ -275,7 +276,7 @@ class TestDecayCurve:
                     mock.patch.object(estimator, "_CHUNK", chunk), \
                     mock.patch.object(estimator, "_SPARSE_CHUNK", chunk):
                 groups, symbols = estimator._ranked_groups(c)
-                cells = estimator._lag_cells(groups, symbols.size, d)
+                (cells,) = plan_cells(groups, symbols.size, (d,))
                 assert joint_dict(c, d) == joint
                 curve = decay_curve(c, LagGrid((d,)), ONE_PAIR)
             runs.append((cells, curve.mi.tolist()))
@@ -324,15 +325,19 @@ class TestDecayCurve:
         seqs = np.split(ids, np.cumsum(lengths)[:-1])
         c = corpus_from_lists(seqs, k)
         lags = tuple(range(1, 3 * m + 2)) + (3 * m + 5, 3 * m + 9, 100, 650)
-        assert estimator._batch_size(k) == m
         config = EstimatorConfig(min_pair_count=1)
         with mock.patch.object(estimator, "_CHUNK", 64):
             groups, symbols = estimator._ranked_groups(c)
             assert symbols.size == k
             curve = decay_curve(c, LagGrid(lags), config)
+            # the plan of the contiguous source, which a one-symbol corpus
+            # would otherwise not take
+            with mock.patch.object(estimator, "_GATHER_COST", math.inf):
+                count, batch_size, _ = estimator._counter(groups, k)
+            assert batch_size == m
             for i in range(0, len(lags), m):
                 batch = lags[i : i + m]
-                for d, (xs, ys, cs) in zip(batch, estimator._batch_cells(groups, k, batch)):
+                for d, (xs, ys, cs) in zip(batch, count(batch)):
                     assert dict(zip(zip(xs.tolist(), ys.tolist()), cs.tolist())) == \
                         naive_pair_counts(seqs, d)
         kept = [d for d in lags if naive_pair_counts(seqs, d)]
@@ -344,10 +349,19 @@ class TestDecayCurve:
             assert mi == lag_mi(c, d)
 
     def test_batch_size_follows_from_occurring_symbols(self):
-        assert [estimator._batch_size(k) for k in (3, 6, 7, 256, 257, 1024, 1025)] == \
-            [9, 5, 4, 1, 1, 1, 1]
+        def plan(k):  # the counting plan of a text where k symbols occur evenly
+            c = corpus_from_lists([np.arange(100 * k) % k], k, mode="word")
+            groups, symbols = estimator._ranked_groups(c)
+            return estimator._counter(groups, symbols.size)
+
+        assert [plan(k)[1] for k in (3, 6, 7, 256, 257, 1024, 1025)] == [9, 5, 4, 1, 1, 1, 1]
         with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", 15):
-            assert estimator._batch_size(4) == 1  # unique counts one lag at a time
+            count, m, _ = plan(4)
+        assert m == 1  # the sorted-code plan counts one lag per batch
+        unique = mock.Mock(wraps=estimator._unique_cells)
+        with mock.patch.object(estimator, "_unique_cells", unique):
+            count((1,))
+        assert unique.call_count == 1
 
     def test_pixel_corpus_counts_its_occurring_values(self, tmp_path):
         values = np.array([0, 8, 248, 255], dtype=np.uint8)
@@ -434,7 +448,7 @@ class TestDecayCurve:
         # DENSE_JOINT_LIMIT) with unique over uint32 codes
         ids = np.random.default_rng(k).permutation(np.resize(np.arange(k), 3 * k))
         groups, symbols = estimator._ranked_groups(corpus_from_lists([ids], k, mode="word"))
-        for xs, ys, _ in estimator._batch_cells(groups, symbols.size, (1, 2)):
+        for xs, ys, _ in plan_cells(groups, symbols.size, (1, 2)):
             assert xs.dtype == ys.dtype == np.intp
 
     def test_row_longer_than_chunk_matches_naive(self):
@@ -548,18 +562,23 @@ class TestDecayCurve:
         c = corpus_from_lists([np.arange(5000) % 4], 4)
         grid = LagGrid(tuple(range(1, 61)))
         calls = []
-        real = estimator._batch_cells
+        real = estimator._counter
 
-        def slow_cells(groups, k, lags):
-            calls.extend(lags)
-            time.sleep(0.01)
-            if 3 in lags:
-                raise MemoryError
-            return real(groups, k, lags)
+        def slow_counter(groups, k):
+            count, m, cost = real(groups, k)
+
+            def slow_count(lags):
+                calls.extend(lags)
+                time.sleep(0.01)
+                if 3 in lags:
+                    raise MemoryError
+                return count(lags)
+
+            return slow_count, m, cost
 
         with mock.patch.object(estimator, "_CHUNK", 1000), \
                 mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
-                mock.patch.object(estimator, "_batch_cells", slow_cells):
+                mock.patch.object(estimator, "_counter", slow_counter):
             with pytest.raises(MemoryError):
                 decay_curve(c, grid, EstimatorConfig(min_pair_count=1))
         assert len(calls) < len(grid.lags) // 2
@@ -645,8 +664,11 @@ class TestGatheredSource:
         with mock.patch.object(estimator, "_CHUNK", chunk):
             curve = self.both_sources(c, grid, tmp_path)
             groups, symbols = estimator._ranked_groups(c)
-            index = estimator._gathered(groups, symbols.size, k // 2)
-            cells = estimator._batch_cells(index, symbols.size, grid.lags)
+            gathered = mock.Mock(wraps=estimator._gathered)
+            with mock.patch.object(estimator, "_GATHER_COST", 0.0), \
+                    mock.patch.object(estimator, "_gathered", gathered):
+                cells = plan_cells(groups, symbols.size, grid.lags)
+        assert gathered.call_args.args[1:] == (symbols.size, k // 2)
         for d, (xs, ys, cs) in zip(grid.lags, cells):
             assert dict(zip(zip(xs.tolist(), ys.tolist()), cs.tolist())) == \
                 naive_pair_counts(seqs, d)
@@ -658,15 +680,26 @@ class TestGatheredSource:
 
     @pytest.mark.parametrize("shape", [[50] * 30, [1000], [3, 40, 40, 90]])
     def test_any_background_symbol_gives_the_same_tables(self, shape):
-        # the fill of row a is exact whichever rank a is, the mode or not
+        # the fill of row a is exact whichever rank a is, the mode or not:
+        # the plan gathers around the mode of its sample, which is made rank
+        # a by writing a at the sampled positions (2 stays the corpus's mode)
         ids = skewed(np.random.default_rng(31), sum(shape), 6, background=2, share=0.3)
-        groups, symbols = estimator._ranked_groups(
-            corpus_from_lists(np.split(ids, np.cumsum(shape)[:-1]), 6))
         lags = (1, 2, 7, 50, 999)
         with mock.patch.object(estimator, "_CHUNK", 128):
-            expected = estimator._pair_tables(groups, 6, lags)
             for a in range(6):
-                tables = estimator._gathered_tables(estimator._gathered(groups, 6, a), 6, lags)
+                groups, symbols = estimator._ranked_groups(
+                    corpus_from_lists(np.split(ids, np.cumsum(shape)[:-1]), 6))
+                for rows in groups:
+                    rows.flat[:: estimator._GATHER_SAMPLE] = a
+                expected = estimator._pair_tables(groups, 6, lags)
+                gathered = mock.Mock(wraps=estimator._gathered)
+                with mock.patch.object(estimator, "_GATHER_COST", 0.0), \
+                        mock.patch.object(estimator, "_gathered", gathered):
+                    cells = plan_cells(groups, 6, lags)
+                assert gathered.call_args.args[1:] == (6, a)
+                tables = [np.zeros(36, np.int64) for _ in lags]
+                for table, (xs, ys, cs) in zip(tables, cells):
+                    table[xs * 6 + ys] = cs
                 assert [t.tolist() for t in tables] == [t.tolist() for t in expected]
 
     def test_gathered_index_is_compact(self):
@@ -675,10 +708,17 @@ class TestGatheredSource:
         images = skewed(np.random.default_rng(32), 2000 * 784, 32, 0, 0.15).reshape(2000, 784)
         groups, symbols = estimator._ranked_groups(
             Corpus(sequences=tuple(images.astype(np.uint8)), alphabet_size=256, mode="pixel"))
-        index = estimator._gathered(groups, symbols.size, 0)
+        index, real = [], estimator._gathered
+
+        def gather(*args):  # the blocks the plan builds
+            index.extend(real(*args))
+            return index
+
+        with mock.patch.object(estimator, "_gathered", gather):
+            estimator._counter(groups, symbols.size)
         gathered = np.count_nonzero(images)
-        assert sum(b[2].size for b in index.blocks) == gathered
-        stored = sum(b[2].nbytes + b[3].nbytes + b[5].nbytes for b in index.blocks)
+        assert sum(b[2].size for b in index) == gathered
+        stored = sum(b[2].nbytes + b[3].nbytes + b[5].nbytes for b in index)
         assert stored < 5.1 * gathered
 
     def test_thread_pool_matches_serial_and_oracle(self, tmp_path):
@@ -751,6 +791,33 @@ class TestGatheredSource:
             decay_curve(c, LagGrid((1, 2, 3, 5, 8)))
         gathered.assert_not_called()
         assert pool.call_args_list == [mock.call(2)]
+
+
+class TestCountingPlan:
+    # a byte text (contiguous batches), an image stack (gathered) and a word
+    # text (sorted codes), each on 2 threads, so the batches run in the pool
+    @pytest.mark.parametrize("corpus, gathers", [("bytes", 0), ("images", 1), ("words", 0)])
+    def test_plan_built_once_per_curve(self, corpus, gathers):
+        rng = np.random.default_rng(36)
+        if corpus == "bytes":
+            c = corpus_from_lists([skewed(rng, 300_000, 60, 7, 0.865)], 60)
+        elif corpus == "images":
+            images = (skewed(rng, 1200 * 784, 32, 0, 0.15) * 8).astype(np.uint8)
+            c = Corpus(sequences=tuple(images.reshape(1200, 784)), alphabet_size=256, mode="pixel")
+        else:
+            c = corpus_from_lists([rng.integers(0, 5000, 40_000)], 5000, mode="word")
+        counter = mock.Mock(wraps=estimator._counter)
+        gathered = mock.Mock(wraps=estimator._gathered)
+        pool = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+        with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
+                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool), \
+                mock.patch.object(estimator, "_counter", counter), \
+                mock.patch.object(estimator, "_gathered", gathered):
+            curve = decay_curve(c, default_lag_grid(300))
+        assert counter.call_count == 1
+        assert gathered.call_count == gathers
+        assert pool.call_args_list == [mock.call(2)]
+        assert curve.lags.size == len(default_lag_grid(300).lags)
 
 
 class TestMiPoint:

@@ -23,6 +23,7 @@ from midecay.fit import (
     PowerLawFit,
 )
 from midecay.schedule import (
+    MAX_UNIT_STEPS,
     DilationSchedule,
     grid_from_dict,
     grid_to_dict,
@@ -287,6 +288,22 @@ class TestBuildGrid:
         for s in spec.schedules:
             if s.origin == "curve_fitted":
                 assert s.dilations[-1] <= spec.max_dilation.value
+
+    def test_unit_step_hybrid_is_bounded(self):
+        # one unit step per lag up to the break: kept up to MAX_UNIT_STEPS
+        # steps, left out past it, and a target below a far break bounds it too
+        def hybrid(break_d, crossing=None):
+            fit = broken_fit(break_d=break_d, max_lag=10**12, crossing=crossing)
+            found = [s.dilations for s in build_grid(fit, [4, 5]).schedules
+                     if s.rationale.startswith("unit steps")]
+            assert len(found) <= 1
+            return found[0] if found else None
+
+        assert hybrid(MAX_UNIT_STEPS)[:MAX_UNIT_STEPS] == tuple(range(1, MAX_UNIT_STEPS + 1))
+        assert hybrid(MAX_UNIT_STEPS + 1) is None
+        assert hybrid(10**12) is None
+        assert hybrid(10**12, crossing=240) == tuple(range(1, 241))
+        assert MAX_UNIT_STEPS > 201  # the longest hybrid of the bench goldens
 
     def test_single_layer_sweep_degenerate(self):
         spec = build_grid(power_fit(crossing=100), [1])
