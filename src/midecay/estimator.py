@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,23 +270,29 @@ def _pair_tables(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> lis
     return tables
 
 
-def _gathered(groups: list[np.ndarray], k: int, a: int) -> list[tuple]:
-    """The groups indexed around rank a, in blocks (flat, L, pos, vals, hist,
-    off): rows of length L as one flat view, the positions pos into it of the
-    other ranks vals, column by column, their histogram, and off[c], how many
-    lie in columns below c. Blocks hold at most _CHUNK symbols of rows up to
-    _CHUNK / 2 long; a longer or lone row forms spans of _CHUNK, off None."""
-    blocks = []
+def _gathered(groups: list[np.ndarray], k: int, a: int) -> tuple[list, list]:
+    """The groups indexed around rank a: blocks (flat, L, pos, vals, hist,
+    off) of rows of length L as one flat view, the positions pos into it of
+    the other ranks vals, column by column, their histogram, and off[c], how
+    many lie in columns below c; and columns (L, C), C[d] the count of each
+    rank in columns d and on, of each stack whose table takes no more bytes
+    than its ranks (its blocks' hist is None). Blocks hold at most _CHUNK
+    symbols of rows up to _CHUNK / 2 long; a longer or lone row forms spans of
+    _CHUNK, off None."""
+    blocks, columns = [], []
 
-    def add(flat, length, pos, off):
+    def add(flat, length, pos, off, tabled=False):
         pos = pos.astype(np.min_scalar_type(flat.size - 1))
         vals = np.take(flat, pos)
-        blocks.append((flat, length, pos, vals, np.bincount(vals, minlength=k), off))
+        hist = None if tabled else np.bincount(vals, minlength=k)
+        blocks.append((flat, length, pos, vals, hist, off))
+        return vals
 
     for rows in groups:
         n, length = rows.shape
         step = _CHUNK // length
         if n > 1 and step > 1:
+            counts = np.zeros(length * k, np.int64) if 8 * k <= n * rows.itemsize else None
             for i in range(0, n, step):
                 block = rows[i : i + step]
                 mask = np.not_equal(block.T, a, order="C")
@@ -294,20 +301,27 @@ def _gathered(groups: list[np.ndarray], k: int, a: int) -> list[tuple]:
                 col, pos = np.divmod(np.flatnonzero(mask), block.shape[0])
                 pos *= length
                 pos += col
-                add(block.reshape(-1), length, pos, off)
+                vals = add(block.reshape(-1), length, pos, off, counts is not None)
+                if counts is not None:
+                    col *= k
+                    col += vals
+                    counts += np.bincount(col, minlength=counts.size)
+            if counts is not None:
+                columns.append((length, counts.reshape(length, k)[::-1].cumsum(axis=0)[::-1]))
         else:
             for row, j in itertools.product(rows, range(0, length, _CHUNK)):
                 add(row, length, np.flatnonzero(row[j : j + _CHUNK] != a) + j, None)
-    return blocks
+    return blocks, columns
 
 
-def _gathered_tables(groups: list[np.ndarray], blocks: list[tuple], k: int, a: int,
+def _gathered_tables(groups: list[np.ndarray], index: tuple[list, list], k: int, a: int,
                      lags: tuple[int, ...]) -> list[np.ndarray]:
-    """Flat k*k pair count tables of each lag from the _gathered blocks of
+    """Flat k*k pair count tables of each lag from the _gathered index of
     the groups around rank a: rows x != a from the gathered pairs, each
     block's for every lag while it is in cache; row a from the counts C_d[y]
     of rank y in columns d and on, as T[a, y] = C_d[y] minus the other rows'
     T[x, y], and T[a, a] the rest of the n (L - d) pairs."""
+    blocks, columns = index
     dtype = np.min_scalar_type(k * k - 1)
     tables = [np.zeros(k * k, np.int64) for _ in lags]
     ends = [np.zeros(k, np.int64) for _ in lags]  # the C_d
@@ -317,15 +331,22 @@ def _gathered_tables(groups: list[np.ndarray], blocks: list[tuple], k: int, a: i
         for d, table, end in zip(lags, tables, ends):
             if length <= d:
                 continue
-            j, i = below(length - d), below(d)
+            j = below(length - d)
             code = np.multiply(vals[:j], k, dtype=dtype)
             code += np.take(flat[d:], pos[:j])
             table += np.bincount(code, minlength=k * k)
+            if hist is None:  # the C_d come from the stack's columns
+                continue
+            i = below(d)
             if 2 * i < vals.size:  # count the smaller side
                 end += hist
                 end -= np.bincount(vals[:i], minlength=k)
             else:
                 end += np.bincount(vals[i:], minlength=k)
+    for length, suffix in columns:
+        for d, end in zip(lags, ends):
+            if d < length:
+                end += suffix[d]
     for d, table, end in zip(lags, tables, ends):
         square = table.reshape(k, k)
         square[a] = end - square.sum(axis=0)
@@ -390,9 +411,9 @@ def _counter(groups: list[np.ndarray], k: int):
         # numpy warning
         a, total = int(sample.argmax()), int(sample.sum())
         if (total - int(sample[a])) * _GATHER_COST * math.sqrt(m) < total:
-            blocks = _gathered(groups, k, a)
-            tables = functools.partial(_gathered_tables, groups, blocks, k, a)
-            cost = int(sum(block[2].size for block in blocks) * _GATHER_COST)
+            index = _gathered(groups, k, a)
+            tables = functools.partial(_gathered_tables, groups, index, k, a)
+            cost = int(sum(block[2].size for block in index[0]) * _GATHER_COST)
             m = max(1, min(_GATHER_LAGS, _BATCH_CELLS // (k * k)))
 
         def coded(lags):
@@ -419,6 +440,40 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on macOS and Windows
         return os.cpu_count() or 1
+
+
+def _pooled(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items] on the calling thread and workers - 1
+    more sharing one iterator; after the first error none takes another item,
+    and it is raised once all have stopped. No executor: bincount holds the
+    GIL for part of each call, so a caller idle in future.result() only left
+    one more thread, and its malloc arena, holding buffers resident."""
+    results, errors, lock = [None] * len(items), [], threading.Lock()
+    todo = iter(enumerate(items))
+
+    def take():
+        with lock:
+            return (None, None) if errors else next(todo, (None, None))
+
+    def work(i, item):
+        while i is not None:
+            try:
+                results[i] = fn(item)
+            except BaseException as exc:
+                errors.append(exc)
+                return
+            i, item = take()
+
+    first = take()  # taken before any thread starts, so the caller counts one
+    threads = [threading.Thread(target=lambda: work(*take())) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work(*first)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _mi_point(config: EstimatorConfig, d: int, cells: list):
@@ -483,14 +538,7 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
 
     batches = [grid.lags[i : i + m] for i in range(0, len(grid.lags), m)]
     workers = min(_cpu_count(), -(-cost // _CHUNK))  # a thread per _CHUNK of cost
-    if workers < 2:
-        points = [p for ps in map(batch, batches) for p in ps]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # map cancels the pending batches when one raises
-        with ThreadPoolExecutor(workers) as pool:
-            points = [p for ps in pool.map(batch, batches) for p in ps]
+    points = [p for ps in _pooled(batch, batches, workers) for p in ps]
     kept = [p for p in points if p[2] is not None]
     skipped = [{"lag": d, "pair_count": total} for d, total, mi, _ in points if mi is None]
     if not kept:

@@ -1,7 +1,8 @@
 """Pair counting, plug-in MI, decay curves, lag grids, CSV round trips."""
 
-import concurrent.futures
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -58,6 +59,36 @@ def small_corpora(draw):
 
 
 ONE_PAIR = EstimatorConfig(min_pair_count=1)
+
+
+class PoolSpy:
+    """Stands in for estimator._pooled while patch() is active: records each
+    call's worker count, the threads started (through a spy on
+    threading.Thread) and the thread that counted each batch."""
+
+    def __init__(self):
+        self.real, self.workers, self.counted = estimator._pooled, [], []
+        self.thread = mock.Mock(wraps=threading.Thread)
+
+    def __call__(self, fn, items, workers):
+        self.workers.append(workers)
+
+        def traced(item):
+            self.counted.append(threading.get_ident())
+            return fn(item)
+
+        return self.real(traced, items, workers)
+
+    def patch(self):
+        return mock.patch.multiple(estimator, _pooled=self,
+                                   threading=mock.Mock(wraps=threading, Thread=self.thread))
+
+    def assert_ran(self, workers, caller):
+        """One curve on workers threads: the caller, which counted a batch,
+        and workers - 1 started ones."""
+        assert self.workers == [workers]
+        assert self.thread.call_count == workers - 1
+        assert caller in self.counted and len(set(self.counted)) <= workers
 
 
 class TestCountPairs:
@@ -480,8 +511,8 @@ class TestDecayCurve:
         seqs = [rng.integers(0, 7, n).tolist() for n in (4000, 2500, 300, 300, 300)]
         c = corpus_from_lists(seqs, 7)
         grid, config = default_lag_grid(400), EstimatorConfig(min_pair_count=1)
-        spy = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
-        result = {}
+        spy, result = PoolSpy(), {}
+        run = threading.Thread(target=lambda: result.update(curve=decay_curve(c, grid, config)))
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", limit):
@@ -492,16 +523,14 @@ class TestDecayCurve:
                         mock.patch.object(estimator, "_SPARSE_CHUNK", 500), \
                         mock.patch.object(estimator.os, "sched_getaffinity",
                                           return_value=set(range(8))), \
-                        mock.patch.object(concurrent.futures, "ThreadPoolExecutor", spy):
-                    run = threading.Thread(
-                        target=lambda: result.update(curve=decay_curve(c, grid, config)))
+                        spy.patch():
                     run.start()
                     run.join(timeout=120)
             finally:
                 sys.setswitchinterval(interval)
         assert not run.is_alive() and "curve" in result
-        assert spy.call_args == mock.call(8)
-        assert threading.active_count() == threads  # the pool is shut down
+        spy.assert_ran(8, run.ident)
+        assert threading.active_count() == threads  # every pool thread has stopped
         pooled = result["curve"]
         assert pooled.lags.tolist() == serial.lags.tolist()
         assert pooled.mi.tolist() == serial.mi.tolist()
@@ -517,9 +546,10 @@ class TestDecayCurve:
 
     def test_small_corpus_counts_in_calling_thread(self):
         c = corpus_from_lists([np.arange(5000) % 4], 4)
-        with mock.patch.object(concurrent.futures, "ThreadPoolExecutor") as pool:
+        spy = PoolSpy()
+        with spy.patch():
             decay_curve(c, default_lag_grid(100), EstimatorConfig(min_pair_count=1))
-        pool.assert_not_called()
+        spy.assert_ran(1, threading.get_ident())
 
     # the unique path (K'^2 past DENSE_JOINT_LIMIT) takes a thread per
     # _CHUNK / _SPARSE_COST = 16,384 symbols, so a 10k-token text stays serial
@@ -531,11 +561,11 @@ class TestDecayCurve:
         assert estimator._ranked_groups(c)[1].size ** 2 > estimator.DENSE_JOINT_LIMIT
         with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0}):
             serial = decay_curve(c, grid, config)
-        spy = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+        spy = PoolSpy()
         with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
-                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", spy):
+                spy.patch():
             curve = decay_curve(c, grid, config)
-        assert spy.call_args_list == ([mock.call(2)] if pooled else [])
+        spy.assert_ran(2 if pooled else 1, threading.get_ident())
         curve_to_csv(serial, tmp_path / "serial.csv")
         curve_to_csv(curve, tmp_path / "curve.csv")
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "curve.csv").read_bytes()
@@ -576,12 +606,65 @@ class TestDecayCurve:
 
             return slow_count, m, cost
 
+        threads = threading.active_count()
         with mock.patch.object(estimator, "_CHUNK", 1000), \
                 mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
                 mock.patch.object(estimator, "_counter", slow_counter):
             with pytest.raises(MemoryError):
                 decay_curve(c, grid, EstimatorConfig(min_pair_count=1))
         assert len(calls) < len(grid.lags) // 2
+        assert threading.active_count() == threads  # joined before the error is raised
+
+    def test_pool_keeps_order_and_raises_the_first_error_after_joining(self):
+        # 3 workers on 40 items switching every 10 us: the results come back
+        # in item order; once item 5 raises, no thread takes a new item, and
+        # the error reaches the caller after the slow item 0 has finished
+        def square(i):
+            time.sleep(0.002)
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert estimator._pooled(square, list(range(40)), 3) == [i * i for i in range(40)]
+            assert estimator._pooled(square, [], 3) == []
+            taken, finished = [], []
+
+            def fail(i):
+                taken.append(i)
+                if i == 5:
+                    raise KeyError(i)
+                time.sleep(0.05 if i == 0 else 0.002)
+                finished.append(i)
+
+            with pytest.raises(KeyError):
+                estimator._pooled(fail, list(range(40)), 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 0 in finished and len(taken) <= 8
+
+    def test_pooled_curve_imports_no_executor(self):
+        # a fresh interpreter on 2 reported CPUs counts a 300k-symbol byte
+        # text with one started thread, and imports neither
+        # concurrent.futures nor the logging it pulls in
+        code = (
+            "import os, sys, threading\n"
+            "import numpy as np\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "started, start = [], threading.Thread.start\n"
+            "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
+            "from midecay import Corpus, decay_curve, default_lag_grid\n"
+            "seq = np.random.default_rng(0).integers(0, 60, 300_000).astype(np.uint8)\n"
+            "decay_curve(Corpus(sequences=(seq,), alphabet_size=60, mode='byte'),"
+            " default_lag_grid(100))\n"
+            "print(len(started), [m for m in ('concurrent.futures', 'logging')"
+            " if m in sys.modules])\n"
+        )
+        src = os.path.dirname(os.path.dirname(estimator.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert out.split("\n")[0] == "1 []"
 
     # dense: 64 lags of 65,536 cells (1.5 MB each) would take 96 MB held at
     # once; sparse: 32 lags of about 300k cells (16 bytes each, 4.8 MB) 154 MB,
@@ -649,13 +732,16 @@ class TestGatheredSource:
 
     # the stack's rows split into blocks of 2 rows at 64-symbol chunks, the
     # image rows and the text into column spans; the ragged rows of 2 and 5
-    # symbols end before most lags
+    # symbols end before most lags; "columns" holds a stack of 100 rows,
+    # enough for a column table at K' = 9, beside one of 3 rows, too few
     @pytest.mark.parametrize("chunk", [estimator._CHUNK, 64])
-    @pytest.mark.parametrize("shape", ["images", "stack", "text", "ragged", "constant"])
+    @pytest.mark.parametrize("shape", ["images", "stack", "text", "ragged", "constant",
+                                       "columns"])
     def test_matches_oracle_and_contiguous_source(self, tmp_path, shape, chunk):
         rng = np.random.default_rng(30)
         lengths = {"images": [784] * 40, "stack": [30] * 60, "text": [6000],
-                   "ragged": [2, 5, 40, 40, 40, 130, 700], "constant": [300, 300, 50]}[shape]
+                   "ragged": [2, 5, 40, 40, 40, 130, 700], "constant": [300, 300, 50],
+                   "columns": [30] * 100 + [40] * 3}[shape]
         k = 1 if shape == "constant" else 9
         ids = skewed(rng, sum(lengths), k, background=k // 2, share=0.15)
         seqs = np.split(ids, np.cumsum(lengths)[:-1])
@@ -710,16 +796,20 @@ class TestGatheredSource:
             Corpus(sequences=tuple(images.astype(np.uint8)), alphabet_size=256, mode="pixel"))
         index, real = [], estimator._gathered
 
-        def gather(*args):  # the blocks the plan builds
-            index.extend(real(*args))
-            return index
+        def gather(*args):  # the blocks and column tables the plan builds
+            index.append(real(*args))
+            return index[0]
 
         with mock.patch.object(estimator, "_gathered", gather):
             estimator._counter(groups, symbols.size)
+        (blocks, columns), = index
         gathered = np.count_nonzero(images)
-        assert sum(b[2].size for b in index) == gathered
-        stored = sum(b[2].nbytes + b[3].nbytes + b[5].nbytes for b in index)
+        assert sum(b[2].size for b in blocks) == gathered
+        stored = sum(b[2].nbytes + b[3].nbytes + b[5].nbytes for b in blocks)
         assert stored < 5.1 * gathered
+        # one (L, K') table of the stack, no larger than its ranks
+        assert [(length, count.shape) for length, count in columns] == [(784, (784, 32))]
+        assert columns[0][1].nbytes <= images.size
 
     def test_thread_pool_matches_serial_and_oracle(self, tmp_path):
         # the threads share the index; 500-symbol blocks and spans, 8
@@ -730,23 +820,23 @@ class TestGatheredSource:
         c = corpus_from_lists(seqs, 7)
         grid, result = default_lag_grid(700), {}
         serial = self.both_sources(c, grid, tmp_path)
-        spy = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+        spy = PoolSpy()
         gathered = mock.Mock(wraps=estimator._gathered)
+        run = threading.Thread(target=lambda: result.update(curve=decay_curve(c, grid, ONE_PAIR)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with mock.patch.object(estimator, "_CHUNK", 500), \
                     mock.patch.object(estimator.os, "sched_getaffinity",
                                       return_value=set(range(8))), \
-                    mock.patch.object(concurrent.futures, "ThreadPoolExecutor", spy), \
+                    spy.patch(), \
                     mock.patch.object(estimator, "_gathered", gathered):
-                run = threading.Thread(
-                    target=lambda: result.update(curve=decay_curve(c, grid, ONE_PAIR)))
                 run.start()
                 run.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert not run.is_alive() and gathered.called and spy.call_args == mock.call(8)
+        assert not run.is_alive() and gathered.called
+        spy.assert_ran(8, run.ident)
         curve_to_csv(result["curve"], tmp_path / "pooled.csv")
         assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "gathered.csv").read_bytes()
         for d, mi, pairs in serial.points():
@@ -760,14 +850,14 @@ class TestGatheredSource:
         images = (skewed(np.random.default_rng(n), n * 784, 32, 0, 0.15) * 8).astype(np.uint8)
         c = Corpus(sequences=tuple(images.reshape(n, 784)), alphabet_size=256, mode="pixel")
         grid = default_lag_grid(783)
-        pool = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+        spy = PoolSpy()
         gathered = mock.Mock(wraps=estimator._gathered)
         with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
-                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool), \
+                spy.patch(), \
                 mock.patch.object(estimator, "_gathered", gathered):
             curve = decay_curve(c, grid)
         assert gathered.call_count == 1
-        assert pool.call_args_list == ([mock.call(2)] if pooled else [])
+        spy.assert_ran(2 if pooled else 1, threading.get_ident())
         with mock.patch.object(estimator, "_GATHER_COST", math.inf):
             curve_to_csv(decay_curve(c, grid), tmp_path / "contiguous.csv")
         curve_to_csv(curve, tmp_path / "gathered.csv")
@@ -784,13 +874,13 @@ class TestGatheredSource:
             c = corpus_from_lists([skewed(rng, 300_000, 60, 7, 0.865)], 60)
         else:
             c = corpus_from_lists([rng.integers(0, 5000, 40_000)], 5000, mode="word")
-        pool = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+        spy = PoolSpy()
         with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
-                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool), \
+                spy.patch(), \
                 mock.patch.object(estimator, "_gathered") as gathered:
             decay_curve(c, LagGrid((1, 2, 3, 5, 8)))
         gathered.assert_not_called()
-        assert pool.call_args_list == [mock.call(2)]
+        spy.assert_ran(2, threading.get_ident())
 
 
 class TestCountingPlan:
@@ -808,15 +898,15 @@ class TestCountingPlan:
             c = corpus_from_lists([rng.integers(0, 5000, 40_000)], 5000, mode="word")
         counter = mock.Mock(wraps=estimator._counter)
         gathered = mock.Mock(wraps=estimator._gathered)
-        pool = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+        spy = PoolSpy()
         with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
-                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool), \
+                spy.patch(), \
                 mock.patch.object(estimator, "_counter", counter), \
                 mock.patch.object(estimator, "_gathered", gathered):
             curve = decay_curve(c, default_lag_grid(300))
         assert counter.call_count == 1
         assert gathered.call_count == gathers
-        assert pool.call_args_list == [mock.call(2)]
+        spy.assert_ran(2, threading.get_ident())
         assert curve.lags.size == len(default_lag_grid(300).lags)
 
 
