@@ -11,6 +11,8 @@ import functools
 import itertools
 import math
 import os
+import pickle
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -47,7 +49,7 @@ _CHUNK = 1 << 18
 _SPARSE_CHUNK = 1 << 22
 
 # a pair costs about 35 ns on the unique path against 2.5 ns on the dense one,
-# so the threads take 16 times fewer symbols each there
+# so the workers take 16 times fewer symbols each there
 _SPARSE_COST = 16
 
 # a gathered position costs about _GATHER_COST symbols of a one-lag dense pass
@@ -388,7 +390,7 @@ def _counter(groups: list[np.ndarray], k: int):
     (count, m, cost). count maps a batch of at most m lags to each lag's
     joint cells [xs, ys, counts], sorted by (x, y) with intp ranks, which
     fixes the MI summation order; cost, in symbols of a one-lag dense pass,
-    sizes the thread pool.
+    sizes the process pool.
 
     Past DENSE_JOINT_LIMIT joint cells each lag's codes are sorted, one lag
     per batch. Else a batch's lags are counted together into dense tables,
@@ -435,45 +437,60 @@ def _counter(groups: list[np.ndarray], k: int):
     return count, m, cost
 
 
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on macOS and Windows
-        return os.cpu_count() or 1
-
-
 def _pooled(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items] on the calling thread and workers - 1
-    more sharing one iterator; after the first error none takes another item,
-    and it is raised once all have stopped. No executor: bincount holds the
-    GIL for part of each call, so a caller idle in future.result() only left
-    one more thread, and its malloc arena, holding buffers resident."""
-    results, errors, lock = [None] * len(items), [], threading.Lock()
-    todo = iter(enumerate(items))
+    """[fn(item) for item in items] in this process and workers - 1 forked
+    children (threads wait on the GIL bincount holds for part of each call),
+    which take tokens, each the first index of per items, from one pipe that
+    holds all (at most 1,024); a failed item drains it, and the lowest failed
+    item's error is raised once every child is reaped."""
+    workers = min(workers, len(items))
+    if workers < 2 or threading.active_count() > 1:  # a fork beside a thread can deadlock
+        return [fn(item) for item in items]
+    per = -(-len(items) // 1024)
+    tokens, w = os.pipe()
+    os.write(w, np.arange(0, len(items), per, dtype="<u4").tobytes())
+    os.close(w)
 
-    def take():
-        with lock:
-            return (None, None) if errors else next(todo, (None, None))
+    def work(token):  # a pipe read takes a whole token, and only once
+        done = []
+        while token:
+            start = int.from_bytes(token, "little")
+            for i in range(start, min(start + per, len(items))):
+                try:
+                    done.append((i, True, fn(items[i])))
+                except Exception as exc:
+                    os.read(tokens, 4096)  # drains the pipe: it holds at most 4 KB
+                    return done + [(i, False, exc)]
+            token = os.read(tokens, 4)
+        return done
 
-    def work(i, item):
-        while i is not None:
-            try:
-                results[i] = fn(item)
-            except BaseException as exc:
-                errors.append(exc)
-                return
-            i, item = take()
-
-    first = take()  # taken before any thread starts, so the caller counts one
-    threads = [threading.Thread(target=lambda: work(*take())) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    work(*first)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
+    first, children = os.read(tokens, 4), {}  # the caller's own token; pid: its read end
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(w, "wb") as f:
+                        f.write(pickle.dumps(work(os.read(tokens, 4))))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        done = work(first)  # then each child's pairs, or none from one that died
+        done += [p for f in children.values() if (data := f.read()) for p in pickle.loads(data)]
+    finally:
+        os.close(tokens)
+        for pid, f in children.items():  # a child read to the end only has to exit
+            f.close()
+            os.kill(pid, 9)  # SIGKILL, which also stops it if the caller is leaving
+            os.waitpid(pid, 0)
+    done.sort()
+    failed = next((result for _, ok, result in done if not ok), None)
+    if failed:
+        raise failed
+    if len(done) < len(items):
+        raise ChildProcessError("a counting process ended without its results")
+    return [result for _, _, result in done]
 
 
 def _mi_point(config: EstimatorConfig, d: int, cells: list):
@@ -526,7 +543,7 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
     Consecutive lags are counted in batches whose size follows from the
     number of occurring symbols; each lag's counts are exact whatever its
     batch, so batching and evaluation order cannot change the result, and
-    the batches of a large corpus run on several threads. How they are
+    the batches of a large corpus run in several processes. How they are
     counted is chosen once, by _counter.
     """
     config = config or EstimatorConfig()
@@ -537,7 +554,8 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
         return [_mi_point(config, d, cells) for d, cells in zip(lags, count(lags))]
 
     batches = [grid.lags[i : i + m] for i in range(0, len(grid.lags), m)]
-    workers = min(_cpu_count(), -(-cost // _CHUNK))  # a thread per _CHUNK of cost
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1  # forks there only
+    workers = min(cpus, -(-cost // _CHUNK))  # a process per _CHUNK of cost
     points = [p for ps in _pooled(batch, batches, workers) for p in ps]
     kept = [p for p in points if p[2] is not None]
     skipped = [{"lag": d, "pair_count": total} for d, total, mi, _ in points if mi is None]

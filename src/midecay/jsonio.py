@@ -90,9 +90,11 @@ def atomic_open(path, mode: str = "w", **kwargs):
         with open(tmp, mode, **kwargs) as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and (exc.filename, exc.filename2) == (tmp, None):
+            exc.filename = os.fspath(path)  # the open failed: name the path asked for
         raise
 
 

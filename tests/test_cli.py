@@ -337,6 +337,29 @@ class TestPipeline:
                          "--max-lag", "64", "--out", str(curve)]) == 0
             assert main(["fit", "--curve", str(curve), "--out", str(fitj)]) == 0
 
+    @pytest.mark.parametrize("command", ["analyze", "fit", "schedule", "grid", "permute"])
+    def test_missing_output_directory_names_the_requested_path(self, tmp_path, capsys, command):
+        # the output is written to a temporary file beside it first; the
+        # message names the path asked for, not that file
+        src = write_pattern_file(tmp_path)
+        curve, fitj = tmp_path / "curve.csv", tmp_path / "fit.json"
+        lags = np.unique(np.round(np.logspace(0, np.log10(400), 60)).astype(int))
+        rows = [f"{d},{(2.0 * d ** -2.2):.17g},100000" for d in lags]
+        curve.write_text("lag,mi_nats,pair_count\n" + "\n".join(rows) + "\n")
+        assert main(["fit", "--curve", str(curve), "--out", str(fitj)]) == 0
+        args = {
+            "analyze": ["--input", str(src), "--mode", "byte", "--max-lag", "8"],
+            "fit": ["--curve", str(curve)],
+            "schedule": ["--fit", str(fitj), "--layers", "9"],
+            "grid": ["--fit", str(fitj), "--layers", "2..4"],
+            "permute": ["--input", str(write_idx(tmp_path, n_images=20)), "--seed", "1"],
+        }[command]
+        out = tmp_path / "missing" / "out"
+        capsys.readouterr()
+        assert main([command, *args, "--out", str(out)]) == 2
+        message = f"midecay: error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert capsys.readouterr().err == message
+
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 

@@ -1,5 +1,6 @@
 """Pair counting, plug-in MI, decay curves, lag grids, CSV round trips."""
 
+import contextlib
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -63,32 +65,74 @@ ONE_PAIR = EstimatorConfig(min_pair_count=1)
 
 class PoolSpy:
     """Stands in for estimator._pooled while patch() is active: records each
-    call's worker count, the threads started (through a spy on
-    threading.Thread) and the thread that counted each batch."""
+    call's worker count and the children forked (through a spy on os.fork as
+    estimator sees it); every process, the caller or a child, appends its pid
+    and tracemalloc peak to a log after each batch it counts."""
 
-    def __init__(self):
-        self.real, self.workers, self.counted = estimator._pooled, [], []
-        self.thread = mock.Mock(wraps=threading.Thread)
+    def __init__(self, tmp_path):
+        self.real, self.fork = estimator._pooled, os.fork
+        self.workers, self.children = [], []
+        self.log = tmp_path / f"pool-{id(self)}.log"
 
     def __call__(self, fn, items, workers):
         self.workers.append(workers)
 
         def traced(item):
-            self.counted.append(threading.get_ident())
-            return fn(item)
+            result = fn(item)
+            peak = tracemalloc.get_traced_memory()[1] if tracemalloc.is_tracing() else 0
+            with open(self.log, "a") as f:
+                f.write(f"{os.getpid()} {peak}\n")
+            return result
 
         return self.real(traced, items, workers)
 
-    def patch(self):
-        return mock.patch.multiple(estimator, _pooled=self,
-                                   threading=mock.Mock(wraps=threading, Thread=self.thread))
+    def forked(self):
+        pid = self.fork()
+        if pid:
+            self.children.append(pid)
+        return pid
 
-    def assert_ran(self, workers, caller):
-        """One curve on workers threads: the caller, which counted a batch,
-        and workers - 1 started ones."""
+    @contextlib.contextmanager
+    def patch(self):
+        with mock.patch.object(estimator, "_pooled", self), \
+                mock.patch.object(estimator.os, "fork", self.forked):
+            yield
+
+    def counted(self) -> list[tuple[int, int]]:
+        """(pid, tracemalloc peak) after each batch, from every process."""
+        lines = self.log.read_text().splitlines() if self.log.exists() else []
+        return [tuple(int(v) for v in line.split()) for line in lines]
+
+    def peaks(self) -> dict[int, int]:
+        """Each process's highest logged tracemalloc peak."""
+        peaks = {}
+        for pid, peak in self.counted():
+            peaks[pid] = max(peak, peaks.get(pid, 0))
+        return peaks
+
+    def assert_ran(self, workers):
+        """One curve on workers processes: the caller, which counted a batch,
+        and workers - 1 forked children, each reaped."""
         assert self.workers == [workers]
-        assert self.thread.call_count == workers - 1
-        assert caller in self.counted and len(set(self.counted)) <= workers
+        assert len(self.children) == workers - 1
+        pids = {pid for pid, _ in self.counted()}
+        assert os.getpid() in pids and pids <= {os.getpid(), *self.children}
+        assert_no_child_left()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_serial_csv(tmp_path, curve, c, grid, config=None):
+    """curve's CSV is byte-identical to that of the curve counted on one CPU."""
+    with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0}):
+        serial = decay_curve(c, grid, config)
+    curve_to_csv(serial, tmp_path / "serial.csv")
+    curve_to_csv(curve, tmp_path / "curve.csv")
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "curve.csv").read_bytes()
+    assert curve.meta == serial.meta
 
 
 class TestCountPairs:
@@ -506,32 +550,21 @@ class TestDecayCurve:
 
     @pytest.mark.parametrize("limit", [estimator.DENSE_JOINT_LIMIT, 0], ids=["bincount", "unique"])
     def test_thread_pool_matches_serial_and_oracle(self, tmp_path, limit):
-        # 500-symbol chunks and 8 reported CPUs: more workers than cores
+        # 500-symbol chunks and 8 reported CPUs: more processes than cores
         rng = np.random.default_rng(17)
         seqs = [rng.integers(0, 7, n).tolist() for n in (4000, 2500, 300, 300, 300)]
         c = corpus_from_lists(seqs, 7)
         grid, config = default_lag_grid(400), EstimatorConfig(min_pair_count=1)
-        spy, result = PoolSpy(), {}
-        run = threading.Thread(target=lambda: result.update(curve=decay_curve(c, grid, config)))
-        threads = threading.active_count()
-        interval = sys.getswitchinterval()
+        spy = PoolSpy(tmp_path)
         with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", limit):
             serial = decay_curve(c, grid, config)
-            sys.setswitchinterval(1e-5)
-            try:
-                with mock.patch.object(estimator, "_CHUNK", 500), \
-                        mock.patch.object(estimator, "_SPARSE_CHUNK", 500), \
-                        mock.patch.object(estimator.os, "sched_getaffinity",
-                                          return_value=set(range(8))), \
-                        spy.patch():
-                    run.start()
-                    run.join(timeout=120)
-            finally:
-                sys.setswitchinterval(interval)
-        assert not run.is_alive() and "curve" in result
-        spy.assert_ran(8, run.ident)
-        assert threading.active_count() == threads  # every pool thread has stopped
-        pooled = result["curve"]
+            with mock.patch.object(estimator, "_CHUNK", 500), \
+                    mock.patch.object(estimator, "_SPARSE_CHUNK", 500), \
+                    mock.patch.object(estimator.os, "sched_getaffinity",
+                                      return_value=set(range(8))), \
+                    spy.patch():
+                pooled = decay_curve(c, grid, config)
+        spy.assert_ran(8)  # every child has been reaped
         assert pooled.lags.tolist() == serial.lags.tolist()
         assert pooled.mi.tolist() == serial.mi.tolist()
         assert pooled.pairs.tolist() == serial.pairs.tolist()
@@ -544,14 +577,14 @@ class TestDecayCurve:
             assert pairs == sum(joint.values())
             assert abs(mi - max(0.0, naive_mi(joint))) < 1e-12
 
-    def test_small_corpus_counts_in_calling_thread(self):
+    def test_small_corpus_counts_in_calling_thread(self, tmp_path):
         c = corpus_from_lists([np.arange(5000) % 4], 4)
-        spy = PoolSpy()
+        spy = PoolSpy(tmp_path)
         with spy.patch():
             decay_curve(c, default_lag_grid(100), EstimatorConfig(min_pair_count=1))
-        spy.assert_ran(1, threading.get_ident())
+        spy.assert_ran(1)
 
-    # the unique path (K'^2 past DENSE_JOINT_LIMIT) takes a thread per
+    # the unique path (K'^2 past DENSE_JOINT_LIMIT) takes a process per
     # _CHUNK / _SPARSE_COST = 16,384 symbols, so a 10k-token text stays serial
     @pytest.mark.parametrize("n, pooled", [(10_000, False), (16_384, False),
                                            (16_385, True), (40_000, True)])
@@ -561,44 +594,53 @@ class TestDecayCurve:
         assert estimator._ranked_groups(c)[1].size ** 2 > estimator.DENSE_JOINT_LIMIT
         with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0}):
             serial = decay_curve(c, grid, config)
-        spy = PoolSpy()
+        spy = PoolSpy(tmp_path)
         with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
                 spy.patch():
             curve = decay_curve(c, grid, config)
-        spy.assert_ran(2 if pooled else 1, threading.get_ident())
+        spy.assert_ran(2 if pooled else 1)
         curve_to_csv(serial, tmp_path / "serial.csv")
         curve_to_csv(curve, tmp_path / "curve.csv")
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "curve.csv").read_bytes()
         assert curve.meta == serial.meta
 
-    def test_dense_counting_copies_table_sized_slices(self):
-        # a 1M-symbol text with K' = 60 on two threads: each bincount call
+    def test_dense_counting_copies_table_sized_slices(self, tmp_path):
+        # a 1M-symbol text with K' = 60 in two processes: each bincount call
         # copies at most 64k codes to intp (512 KB), not a 256k-code block
-        # (2 MB), so the peak is about 2.5 MB; 2^18-code calls peak at 5.6 MB
+        # (2 MB), so the peak is about 2.5 MB; 2^18-code calls peak at 5.6 MB.
+        # The bound holds in the caller and in the child, which logs its own
         seq = np.random.default_rng(1).integers(0, 60, 1_000_000).astype(np.uint8)
         c = Corpus(sequences=(seq,), alphabet_size=60, mode="byte")
-        with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}):
+        spy, grid = PoolSpy(tmp_path), default_lag_grid(1000)
+        with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
+                spy.patch():
             tracemalloc.start()
             try:
-                decay_curve(c, default_lag_grid(1000))
+                curve = decay_curve(c, grid)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 3_500_000
+        spy.assert_ran(2)
+        peaks = spy.peaks()
+        assert peaks.keys() == {os.getpid(), *spy.children}
+        assert max(peak, *peaks.values()) < 3_500_000
+        assert_serial_csv(tmp_path, curve, c, grid)
 
-    def test_consumer_error_cancels_pending_lags(self):
+    def test_consumer_error_cancels_pending_lags(self, tmp_path):
         # an error at one lag reaches the caller and cancels the batches not
-        # yet started; K' = 4 counts 7 lags per batch
+        # yet started; K' = 4 counts 7 lags per batch. Each process logs the
+        # lags it was asked for
         c = corpus_from_lists([np.arange(5000) % 4], 4)
         grid = LagGrid(tuple(range(1, 61)))
-        calls = []
+        calls = tmp_path / "calls.log"
         real = estimator._counter
 
         def slow_counter(groups, k):
             count, m, cost = real(groups, k)
 
             def slow_count(lags):
-                calls.extend(lags)
+                with open(calls, "a") as f:
+                    f.write("".join(f"{d}\n" for d in lags))
                 time.sleep(0.01)
                 if 3 in lags:
                     raise MemoryError
@@ -606,58 +648,145 @@ class TestDecayCurve:
 
             return slow_count, m, cost
 
-        threads = threading.active_count()
+        spy = PoolSpy(tmp_path)
         with mock.patch.object(estimator, "_CHUNK", 1000), \
                 mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
-                mock.patch.object(estimator, "_counter", slow_counter):
+                mock.patch.object(estimator, "_counter", slow_counter), \
+                spy.patch():
             with pytest.raises(MemoryError):
                 decay_curve(c, grid, EstimatorConfig(min_pair_count=1))
-        assert len(calls) < len(grid.lags) // 2
-        assert threading.active_count() == threads  # joined before the error is raised
+        assert len(spy.children) == 1  # the batches ran in two processes
+        assert len(calls.read_text().split()) < len(grid.lags) // 2
+        assert_no_child_left()  # reaped before the error is raised
 
-    def test_pool_keeps_order_and_raises_the_first_error_after_joining(self):
-        # 3 workers on 40 items switching every 10 us: the results come back
-        # in item order; once item 5 raises, no thread takes a new item, and
-        # the error reaches the caller after the slow item 0 has finished
+    def test_pool_keeps_order_and_raises_the_first_error_after_joining(self, tmp_path):
+        # 3 processes on 40 items: the results come back in item order; once
+        # item 5 raises, no process takes a new item, and the error reaches
+        # the caller after the slow item 0 has finished. Items 5 and 6 fail
+        # together in two children, and 5's error is raised. Every process
+        # logs the items it takes and finishes
         def square(i):
             time.sleep(0.002)
             return i * i
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+        assert estimator._pooled(square, list(range(40)), 3) == [i * i for i in range(40)]
+        assert estimator._pooled(square, [], 3) == []
+        taken, finished = tmp_path / "taken.log", tmp_path / "finished.log"
+
+        def fail(i):
+            with open(taken, "a") as f:
+                f.write(f"{i}\n")
+            if i in (5, 6):
+                time.sleep(0.02)
+                raise KeyError(i)
+            time.sleep(0.05 if i == 0 else 0.002)
+            with open(finished, "a") as f:
+                f.write(f"{i}\n")
+
+        with pytest.raises(KeyError) as raised:
+            estimator._pooled(fail, list(range(40)), 3)
+        assert raised.value.args == (5,)  # the lowest failed item's error
+        assert "0" in finished.read_text().split() and len(taken.read_text().split()) <= 8
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [KeyError, MemoryError])
+    def test_child_error_reaches_caller_as_its_type(self, error):
+        parent = os.getpid()
+
+        def fail_in_child(i):
+            time.sleep(0.005)
+            if os.getpid() != parent:
+                raise error(i)
+            return i
+
+        with pytest.raises(error):
+            estimator._pooled(fail_in_child, list(range(20)), 3)
+        assert_no_child_left()
+
+    def test_child_that_dies_is_an_error(self):
+        # a child that ends without sending its results (as one killed by
+        # the kernel would) loses the items it took: an error, not a short list
+        parent = os.getpid()
+
+        def dies(i):
+            time.sleep(0.005)
+            if os.getpid() != parent and i > 5:
+                os._exit(1)
+            return i
+
+        with pytest.raises(ChildProcessError):
+            estimator._pooled(dies, list(range(20)), 2)
+        assert_no_child_left()
+
+    def test_no_child_left_after_success_error_or_interrupt(self):
+        # a KeyboardInterrupt in the caller kills the children, which would
+        # otherwise count their 0.2 s items for about 4 s more
+        parent = os.getpid()
+        assert estimator._pooled(lambda i: i, list(range(100)), 2) == list(range(100))
+        assert_no_child_left()
+        with pytest.raises(ZeroDivisionError):
+            estimator._pooled(lambda i: 1 // (i - 50), list(range(100)), 2)
+        assert_no_child_left()
+
+        def interrupted(i):
+            if os.getpid() == parent and i > 0:
+                raise KeyboardInterrupt
+            time.sleep(0.2)
+            return i
+
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            estimator._pooled(interrupted, list(range(60)), 3)
+        assert time.perf_counter() - start < 2
+        assert_no_child_left()
+
+    def test_second_live_thread_forks_nothing(self, tmp_path):
+        # beside another live thread a fork can deadlock (and warns on 3.12),
+        # so the caller counts every batch, to the same bytes
+        c = corpus_from_lists([skewed(np.random.default_rng(37), 300_000, 60, 7, 0.865)], 60)
+        grid, spy, stop = default_lag_grid(100), PoolSpy(tmp_path), threading.Event()
+        other = threading.Thread(target=stop.wait, args=(60,))
+        other.start()
         try:
-            assert estimator._pooled(square, list(range(40)), 3) == [i * i for i in range(40)]
-            assert estimator._pooled(square, [], 3) == []
-            taken, finished = [], []
-
-            def fail(i):
-                taken.append(i)
-                if i == 5:
-                    raise KeyError(i)
-                time.sleep(0.05 if i == 0 else 0.002)
-                finished.append(i)
-
-            with pytest.raises(KeyError):
-                estimator._pooled(fail, list(range(40)), 3)
+            with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
+                    spy.patch():
+                curve = decay_curve(c, grid)
         finally:
-            sys.setswitchinterval(interval)
-        assert 0 in finished and len(taken) <= 8
+            stop.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert spy.workers == [2] and spy.children == []
+        assert {pid for pid, _ in spy.counted()} == {os.getpid()}
+        assert_serial_csv(tmp_path, curve, c, grid)
+
+    def test_pooled_curve_raises_no_deprecation_warning(self, tmp_path):
+        # Python 3.12 warns when a process that has other threads forks;
+        # numpy's BLAS threads stop in their own fork handler
+        c = corpus_from_lists([skewed(np.random.default_rng(38), 300_000, 60, 7, 0.865)], 60)
+        grid, spy = default_lag_grid(100), PoolSpy(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
+                    spy.patch():
+                curve = decay_curve(c, grid)
+        spy.assert_ran(2)
+        assert_serial_csv(tmp_path, curve, c, grid)
 
     def test_pooled_curve_imports_no_executor(self):
         # a fresh interpreter on 2 reported CPUs counts a 300k-symbol byte
-        # text with one started thread, and imports neither
+        # text with one forked child, and imports neither multiprocessing nor
         # concurrent.futures nor the logging it pulls in
         code = (
-            "import os, sys, threading\n"
+            "import os, sys\n"
             "import numpy as np\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "started, start = [], threading.Thread.start\n"
-            "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: (forks.append(1), fork())[1]\n"
             "from midecay import Corpus, decay_curve, default_lag_grid\n"
             "seq = np.random.default_rng(0).integers(0, 60, 300_000).astype(np.uint8)\n"
             "decay_curve(Corpus(sequences=(seq,), alphabet_size=60, mode='byte'),"
             " default_lag_grid(100))\n"
-            "print(len(started), [m for m in ('concurrent.futures', 'logging')"
+            "print(len(forks), [m for m in ('multiprocessing', 'concurrent.futures', 'logging')"
             " if m in sys.modules])\n"
         )
         src = os.path.dirname(os.path.dirname(estimator.__file__))
@@ -671,17 +800,19 @@ class TestDecayCurve:
     # so its bound is about 8 lags' cells; batched: K' = 4 counts 7 lags per
     # pass into a 512 KB table, and each of 2 workers holds about 3.7 MB (its
     # table, bincount's output and intp copy of a chunk, the code buffer), so
-    # the bound is that plus 5 batch tables, half of the 10 batches' tables
+    # the bound is that plus 5 batch tables, half of the 10 batches' tables.
+    # Each bound holds in the caller and in the child, which logs its own
     @pytest.mark.parametrize("k, n, dtype, lags, bound", [
         (256, 1_000_000, np.uint8, 64, 32_000_000),
         (20_000, 300_000, np.uint16, 32, 40_000_000),
         (4, 1_000_000, np.uint8, 64, 10_000_000),
     ], ids=["dense", "sparse", "batched"])
-    def test_thread_pool_does_not_hold_every_lag(self, k, n, dtype, lags, bound):
+    def test_thread_pool_does_not_hold_every_lag(self, tmp_path, k, n, dtype, lags, bound):
         seq = np.random.default_rng(18).integers(0, k, n).astype(dtype)
         c = Corpus(sequences=(seq,), alphabet_size=k, mode="word")
-        grid = LagGrid(tuple(range(1, lags + 1)))
-        with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}):
+        grid, spy = LagGrid(tuple(range(1, lags + 1))), PoolSpy(tmp_path)
+        with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
+                spy.patch():
             tracemalloc.start()
             try:
                 curve = decay_curve(c, grid, EstimatorConfig(min_pair_count=1))
@@ -689,7 +820,10 @@ class TestDecayCurve:
             finally:
                 tracemalloc.stop()
         assert curve.lags.size == lags
-        assert peak < bound
+        spy.assert_ran(2)
+        peaks = spy.peaks()
+        assert peaks.keys() == {os.getpid(), *spy.children}
+        assert max(peak, *peaks.values()) < bound
 
     def test_bias_floor_reported(self):
         rng = np.random.default_rng(13)
@@ -812,52 +946,45 @@ class TestGatheredSource:
         assert columns[0][1].nbytes <= images.size
 
     def test_thread_pool_matches_serial_and_oracle(self, tmp_path):
-        # the threads share the index; 500-symbol blocks and spans, 8
-        # reported CPUs and about 1,520 gathered symbols (cost 3,800) give 8
-        # workers, more than the cores, switching every 10 us
+        # the children share the index built before the fork; 500-symbol
+        # blocks and spans, 8 reported CPUs and about 1,520 gathered symbols
+        # (cost 3,800) give 8 processes, more than the cores
         rng = np.random.default_rng(35)
         seqs = [skewed(rng, n, 7, 3, 0.12) for n in (8000, 5000, 600, 600, 600)]
         c = corpus_from_lists(seqs, 7)
-        grid, result = default_lag_grid(700), {}
+        grid = default_lag_grid(700)
         serial = self.both_sources(c, grid, tmp_path)
-        spy = PoolSpy()
+        spy = PoolSpy(tmp_path)
         gathered = mock.Mock(wraps=estimator._gathered)
-        run = threading.Thread(target=lambda: result.update(curve=decay_curve(c, grid, ONE_PAIR)))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with mock.patch.object(estimator, "_CHUNK", 500), \
-                    mock.patch.object(estimator.os, "sched_getaffinity",
-                                      return_value=set(range(8))), \
-                    spy.patch(), \
-                    mock.patch.object(estimator, "_gathered", gathered):
-                run.start()
-                run.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not run.is_alive() and gathered.called
-        spy.assert_ran(8, run.ident)
-        curve_to_csv(result["curve"], tmp_path / "pooled.csv")
+        with mock.patch.object(estimator, "_CHUNK", 500), \
+                mock.patch.object(estimator.os, "sched_getaffinity",
+                                  return_value=set(range(8))), \
+                spy.patch(), \
+                mock.patch.object(estimator, "_gathered", gathered):
+            pooled = decay_curve(c, grid, ONE_PAIR)
+        assert gathered.called
+        spy.assert_ran(8)
+        curve_to_csv(pooled, tmp_path / "pooled.csv")
         assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "gathered.csv").read_bytes()
         for d, mi, pairs in serial.points():
             assert abs(mi - max(0.0, naive_mi(naive_pair_counts(seqs, d)))) < 1e-12
 
     # 400 images hold 313k symbols, which the contiguous rule would share
-    # between 2 threads, but only about 46k gathered positions; 1,200 images
-    # hold about 137k, 2.5 times which passes the 256k symbols of a thread
+    # between 2 processes, but only about 46k gathered positions; 1,200
+    # images hold about 137k, 2.5 times which passes the 256k symbols of one
     @pytest.mark.parametrize("n, pooled", [(400, False), (1200, True)])
     def test_pixel_corpus_is_gathered_and_pooled_by_its_positions(self, tmp_path, n, pooled):
         images = (skewed(np.random.default_rng(n), n * 784, 32, 0, 0.15) * 8).astype(np.uint8)
         c = Corpus(sequences=tuple(images.reshape(n, 784)), alphabet_size=256, mode="pixel")
         grid = default_lag_grid(783)
-        spy = PoolSpy()
+        spy = PoolSpy(tmp_path)
         gathered = mock.Mock(wraps=estimator._gathered)
         with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
                 spy.patch(), \
                 mock.patch.object(estimator, "_gathered", gathered):
             curve = decay_curve(c, grid)
         assert gathered.call_count == 1
-        spy.assert_ran(2 if pooled else 1, threading.get_ident())
+        spy.assert_ran(2 if pooled else 1)
         with mock.patch.object(estimator, "_GATHER_COST", math.inf):
             curve_to_csv(decay_curve(c, grid), tmp_path / "contiguous.csv")
         curve_to_csv(curve, tmp_path / "gathered.csv")
@@ -865,7 +992,7 @@ class TestGatheredSource:
         assert csv.read_bytes() == (tmp_path / "contiguous.csv").read_bytes()
 
     @pytest.mark.parametrize("corpus", ["bytes", "words"])
-    def test_text_corpora_keep_their_paths(self, corpus):
+    def test_text_corpora_keep_their_paths(self, tmp_path, corpus):
         # a byte text whose top byte is 13.5% of it, as in the bench text,
         # stays contiguous; a word text (K'^2 past DENSE_JOINT_LIMIT) stays
         # on the unique path
@@ -874,20 +1001,21 @@ class TestGatheredSource:
             c = corpus_from_lists([skewed(rng, 300_000, 60, 7, 0.865)], 60)
         else:
             c = corpus_from_lists([rng.integers(0, 5000, 40_000)], 5000, mode="word")
-        spy = PoolSpy()
+        spy, grid = PoolSpy(tmp_path), LagGrid((1, 2, 3, 5, 8))
         with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
                 spy.patch(), \
                 mock.patch.object(estimator, "_gathered") as gathered:
-            decay_curve(c, LagGrid((1, 2, 3, 5, 8)))
+            curve = decay_curve(c, grid)
         gathered.assert_not_called()
-        spy.assert_ran(2, threading.get_ident())
+        spy.assert_ran(2)
+        assert_serial_csv(tmp_path, curve, c, grid)
 
 
 class TestCountingPlan:
     # a byte text (contiguous batches), an image stack (gathered) and a word
-    # text (sorted codes), each on 2 threads, so the batches run in the pool
+    # text (sorted codes), each in 2 processes, so the batches run in the pool
     @pytest.mark.parametrize("corpus, gathers", [("bytes", 0), ("images", 1), ("words", 0)])
-    def test_plan_built_once_per_curve(self, corpus, gathers):
+    def test_plan_built_once_per_curve(self, tmp_path, corpus, gathers):
         rng = np.random.default_rng(36)
         if corpus == "bytes":
             c = corpus_from_lists([skewed(rng, 300_000, 60, 7, 0.865)], 60)
@@ -898,16 +1026,17 @@ class TestCountingPlan:
             c = corpus_from_lists([rng.integers(0, 5000, 40_000)], 5000, mode="word")
         counter = mock.Mock(wraps=estimator._counter)
         gathered = mock.Mock(wraps=estimator._gathered)
-        spy = PoolSpy()
+        spy, grid = PoolSpy(tmp_path), default_lag_grid(300)
         with mock.patch.object(estimator.os, "sched_getaffinity", return_value={0, 1}), \
                 spy.patch(), \
                 mock.patch.object(estimator, "_counter", counter), \
                 mock.patch.object(estimator, "_gathered", gathered):
-            curve = decay_curve(c, default_lag_grid(300))
+            curve = decay_curve(c, grid)
         assert counter.call_count == 1
         assert gathered.call_count == gathers
-        spy.assert_ran(2, threading.get_ident())
-        assert curve.lags.size == len(default_lag_grid(300).lags)
+        spy.assert_ran(2)
+        assert curve.lags.size == len(grid.lags)
+        assert_serial_csv(tmp_path, curve, c, grid)
 
 
 class TestMiPoint:
