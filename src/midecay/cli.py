@@ -69,8 +69,10 @@ def _layer_range(text):
         raise argparse.ArgumentTypeError(
             f"layer counts must be <= {sched.MAX_STANDARD_LAYERS}, got {text!r}"
         )
-    if not 1 <= lo <= hi:
+    if lo < 1:
         raise argparse.ArgumentTypeError(f"layer counts must be >= 1, got {text!r}")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"LO must not exceed HI, got {text!r}")
     return list(range(lo, hi + 1))
 
 

@@ -272,29 +272,31 @@ def _pair_tables(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> lis
     return tables
 
 
-def _gathered(groups: list[np.ndarray], k: int, a: int) -> tuple[list, list]:
-    """The groups indexed around rank a: blocks (flat, L, pos, vals, hist,
-    off) of rows of length L as one flat view, the positions pos into it of
-    the other ranks vals, column by column, their histogram, and off[c], how
-    many lie in columns below c; and columns (L, C), C[d] the count of each
-    rank in columns d and on, of each stack whose table takes no more bytes
-    than its ranks (its blocks' hist is None). Blocks hold at most _CHUNK
-    symbols of rows up to _CHUNK / 2 long; a longer or lone row forms spans of
-    _CHUNK, off None."""
-    blocks, columns = [], []
+def _gathered(groups: list[np.ndarray], k: int, a: int, lags: tuple[int, ...]) -> tuple[list, dict]:
+    """The groups indexed around rank a: blocks (flat, L, pos, vals, off) of
+    rows of length L as one flat view, the positions pos into it of the other
+    ranks vals, column by column, and off[c], how many lie in columns below
+    c; and ends, C_d for each lag d: C_d[y] counts rank y != a in columns d
+    and on. Blocks hold at most _CHUNK symbols of rows up to _CHUNK / 2 long;
+    a longer or lone row forms spans of _CHUNK, off None."""
+    blocks, counts = [], np.zeros((len(lags) + 1) * k, np.int64)
+    starts = np.arange(0, counts.size, k, dtype=np.min_scalar_type(counts.size - 1))
 
-    def add(flat, length, pos, off, tabled=False):
+    def add(flat, length, pos, off):
         pos = pos.astype(np.min_scalar_type(flat.size - 1))
         vals = np.take(flat, pos)
-        hist = None if tabled else np.bincount(vals, minlength=k)
-        blocks.append((flat, length, pos, vals, hist, off))
-        return vals
+        blocks.append((flat, length, pos, vals, off))
+        # a head counts the ranks in columns below its lag d_i; row i + 1 of
+        # counts takes those from the head of lag i to that of lag i + 1
+        heads = np.searchsorted(pos, lags) if off is None else off[np.minimum(lags, length)]
+        code = np.repeat(starts, np.diff(heads, prepend=0, append=vals.size))
+        code += vals
+        counts[...] += np.bincount(code, minlength=counts.size)
 
     for rows in groups:
         n, length = rows.shape
         step = _CHUNK // length
         if n > 1 and step > 1:
-            counts = np.zeros(length * k, np.int64) if 8 * k <= n * rows.itemsize else None
             for i in range(0, n, step):
                 block = rows[i : i + step]
                 mask = np.not_equal(block.T, a, order="C")
@@ -303,55 +305,35 @@ def _gathered(groups: list[np.ndarray], k: int, a: int) -> tuple[list, list]:
                 col, pos = np.divmod(np.flatnonzero(mask), block.shape[0])
                 pos *= length
                 pos += col
-                vals = add(block.reshape(-1), length, pos, off, counts is not None)
-                if counts is not None:
-                    col *= k
-                    col += vals
-                    counts += np.bincount(col, minlength=counts.size)
-            if counts is not None:
-                columns.append((length, counts.reshape(length, k)[::-1].cumsum(axis=0)[::-1]))
+                add(block.reshape(-1), length, pos, off)
         else:
             for row, j in itertools.product(rows, range(0, length, _CHUNK)):
                 add(row, length, np.flatnonzero(row[j : j + _CHUNK] != a) + j, None)
-    return blocks, columns
+    ends = counts.reshape(-1, k)[:0:-1].cumsum(axis=0)[::-1]  # one len(lags) x k table
+    return blocks, dict(zip(lags, ends))
 
 
-def _gathered_tables(groups: list[np.ndarray], index: tuple[list, list], k: int, a: int,
+def _gathered_tables(groups: list[np.ndarray], index: tuple[list, dict], k: int, a: int,
                      lags: tuple[int, ...]) -> list[np.ndarray]:
     """Flat k*k pair count tables of each lag from the _gathered index of
     the groups around rank a: rows x != a from the gathered pairs, each
-    block's for every lag while it is in cache; row a from the counts C_d[y]
-    of rank y in columns d and on, as T[a, y] = C_d[y] minus the other rows'
-    T[x, y], and T[a, a] the rest of the n (L - d) pairs."""
-    blocks, columns = index
+    block's for every lag while it is in cache; row a from the index's C_d,
+    as T[a, y] = C_d[y] minus the other rows' T[x, y], and T[a, a] the rest
+    of the n (L - d) pairs."""
+    blocks, ends = index
     dtype = np.min_scalar_type(k * k - 1)
     tables = [np.zeros(k * k, np.int64) for _ in lags]
-    ends = [np.zeros(k, np.int64) for _ in lags]  # the C_d
-    for flat, length, pos, vals, hist, off in blocks:
-        def below(c):
-            return int(np.searchsorted(pos, c)) if off is None else int(off[c])
-        for d, table, end in zip(lags, tables, ends):
+    for flat, length, pos, vals, off in blocks:
+        for d, table in zip(lags, tables):
             if length <= d:
                 continue
-            j = below(length - d)
+            j = int(np.searchsorted(pos, length - d)) if off is None else int(off[length - d])
             code = np.multiply(vals[:j], k, dtype=dtype)
             code += np.take(flat[d:], pos[:j])
             table += np.bincount(code, minlength=k * k)
-            if hist is None:  # the C_d come from the stack's columns
-                continue
-            i = below(d)
-            if 2 * i < vals.size:  # count the smaller side
-                end += hist
-                end -= np.bincount(vals[:i], minlength=k)
-            else:
-                end += np.bincount(vals[i:], minlength=k)
-    for length, suffix in columns:
-        for d, end in zip(lags, ends):
-            if d < length:
-                end += suffix[d]
-    for d, table, end in zip(lags, tables, ends):
+    for d, table in zip(lags, tables):
         square = table.reshape(k, k)
-        square[a] = end - square.sum(axis=0)
+        square[a] = ends[d] - square.sum(axis=0)
         square[a, a] = 0
         square[a, a] = sum(rows[:, d:].size for rows in groups) - table.sum()
     return tables
@@ -385,12 +367,12 @@ def _unique_cells(groups: list[np.ndarray], k: int, d: int) -> tuple[np.ndarray,
     return code, np.bincount(inverse, weights=np.concatenate([none, *counts])).astype(np.int64)
 
 
-def _counter(groups: list[np.ndarray], k: int):
-    """How the groups of ranks below k are counted, chosen here alone:
-    (count, m, cost). count maps a batch of at most m lags to each lag's
-    joint cells [xs, ys, counts], sorted by (x, y) with intp ranks, which
-    fixes the MI summation order; cost, in symbols of a one-lag dense pass,
-    sizes the process pool.
+def _counter(groups: list[np.ndarray], k: int, lags: tuple[int, ...]):
+    """How the groups of ranks below k are counted at the grid's lags, chosen
+    here alone: (count, m, cost). count maps a batch of at most m of the lags
+    to each lag's joint cells [xs, ys, counts], sorted by (x, y) with intp
+    ranks, which fixes the MI summation order; cost, in symbols of a one-lag
+    dense pass, sizes the process pool.
 
     Past DENSE_JOINT_LIMIT joint cells each lag's codes are sorted, one lag
     per batch. Else a batch's lags are counted together into dense tables,
@@ -400,8 +382,8 @@ def _counter(groups: list[np.ndarray], k: int):
     """
     cost = sum(rows.size for rows in groups)
     if k * k > DENSE_JOINT_LIMIT:
-        def coded(lags):
-            return [_unique_cells(groups, k, d) for d in lags]
+        def coded(batch):
+            return [_unique_cells(groups, k, d) for d in batch]
         m, cost = 1, cost * _SPARSE_COST
     else:
         m = 1
@@ -413,18 +395,18 @@ def _counter(groups: list[np.ndarray], k: int):
         # numpy warning
         a, total = int(sample.argmax()), int(sample.sum())
         if (total - int(sample[a])) * _GATHER_COST * math.sqrt(m) < total:
-            index = _gathered(groups, k, a)
+            index = _gathered(groups, k, a, lags=lags)
             tables = functools.partial(_gathered_tables, groups, index, k, a)
             cost = int(sum(block[2].size for block in index[0]) * _GATHER_COST)
             m = max(1, min(_GATHER_LAGS, _BATCH_CELLS // (k * k)))
 
-        def coded(lags):
+        def coded(batch):
             return [(code, table[code])
-                    for table in tables(lags) for code in [np.flatnonzero(table)]]
+                    for table in tables(batch) for code in [np.flatnonzero(table)]]
 
-    def count(lags):
+    def count(batch):
         cells = []
-        for code, cs in coded(lags):
+        for code, cs in coded(batch):
             # a scalar divisor in the code's own dtype takes NumPy's fast integer
             # division; intp ranks: _mi_point's bincounts and gathers would each
             # convert narrower ones
@@ -440,20 +422,20 @@ def _counter(groups: list[np.ndarray], k: int):
 def _pooled(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items] in this process and workers - 1 forked
     children (threads wait on the GIL bincount holds for part of each call),
-    which take tokens, each the first index of per items, from one pipe that
-    holds all (at most 1,024); a failed item drains it, and the lowest failed
-    item's error is raised once every child is reaped."""
-    workers = min(workers, len(items))
-    if workers < 2 or threading.active_count() > 1:  # a fork beside a thread can deadlock
-        return [fn(item) for item in items]
-    per = -(-len(items) // 1024)
+    none beside a live thread (a fork there can deadlock), which take tokens,
+    each the first index of per items, from one pipe that holds all (at most
+    1,024); a failed item drains it, and the lowest failed item's error is
+    raised once every child is reaped."""
+    workers = min(workers, len(items)) if threading.active_count() == 1 else 1
+    per = max(1, -(-len(items) // 1024))
+    caller = os.getpid()
     tokens, w = os.pipe()
     os.write(w, np.arange(0, len(items), per, dtype="<u4").tobytes())
     os.close(w)
 
     def work(token):  # a pipe read takes a whole token, and only once
         done = []
-        while token:
+        while token and caller in (os.getpid(), os.getppid()):  # an orphaned child stops
             start = int.from_bytes(token, "little")
             for i in range(start, min(start + per, len(items))):
                 try:
@@ -470,6 +452,7 @@ def _pooled(fn, items: list, workers: int) -> list:
             r, w = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
+                    os.close(r)  # with the caller gone, a write fails, not blocks
                     with open(w, "wb") as f:
                         f.write(pickle.dumps(work(os.read(tokens, 4))))
                 finally:
@@ -548,7 +531,7 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
     """
     config = config or EstimatorConfig()
     groups, symbols = _ranked_groups(corpus)
-    count, m, cost = _counter(groups, symbols.size)
+    count, m, cost = _counter(groups, symbols.size, grid.lags)
 
     def batch(lags):
         return [_mi_point(config, d, cells) for d, cells in zip(lags, count(lags))]

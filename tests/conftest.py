@@ -30,7 +30,7 @@ def naive_pair_counts(seqs, d):
 def plan_cells(groups, k, lags):
     """The joint cells [xs, ys, counts] of each lag, counted by the
     estimator's counting plan, _counter, in batches of the size it gives."""
-    count, m, _ = estimator._counter(groups, k)
+    count, m, _ = estimator._counter(groups, k, lags)
     return [cells for i in range(0, len(lags), m) for cells in count(lags[i : i + m])]
 
 

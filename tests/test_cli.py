@@ -248,10 +248,13 @@ class TestGridCommand:
         assert doc["decay_class"] == "PowerLawPeriodic"
         assert [1, 2] in [s["dilations"] for s in doc["schedules"]]
 
-    def test_bad_layer_range_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["grid", "--fit", "x", "--layers", "a..b", "--out", "y"])
-        assert exc.value.code == 1
+    def test_bad_layer_range_is_usage_error(self, capsys):
+        for layers, message in [("a..b", "expected N or LO..HI"), ("0..3", "must be >= 1"),
+                                ("5..3", "LO must not exceed HI")]:
+            with pytest.raises(SystemExit) as exc:
+                main(["grid", "--fit", "x", "--layers", layers, "--out", "y"])
+            assert exc.value.code == 1
+            assert f"{message}, got '{layers}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("layers", ["64", "1..64", "63..100"])
     def test_more_than_63_layers_is_usage_error(self, capsys, layers):

@@ -408,7 +408,7 @@ class TestDecayCurve:
             # the plan of the contiguous source, which a one-symbol corpus
             # would otherwise not take
             with mock.patch.object(estimator, "_GATHER_COST", math.inf):
-                count, batch_size, _ = estimator._counter(groups, k)
+                count, batch_size, _ = estimator._counter(groups, k, lags)
             assert batch_size == m
             for i in range(0, len(lags), m):
                 batch = lags[i : i + m]
@@ -427,7 +427,7 @@ class TestDecayCurve:
         def plan(k):  # the counting plan of a text where k symbols occur evenly
             c = corpus_from_lists([np.arange(100 * k) % k], k, mode="word")
             groups, symbols = estimator._ranked_groups(c)
-            return estimator._counter(groups, symbols.size)
+            return estimator._counter(groups, symbols.size, (1,))
 
         assert [plan(k)[1] for k in (3, 6, 7, 256, 257, 1024, 1025)] == [9, 5, 4, 1, 1, 1, 1]
         with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", 15):
@@ -635,8 +635,8 @@ class TestDecayCurve:
         calls = tmp_path / "calls.log"
         real = estimator._counter
 
-        def slow_counter(groups, k):
-            count, m, cost = real(groups, k)
+        def slow_counter(groups, k, lags):
+            count, m, cost = real(groups, k, lags)
 
             def slow_count(lags):
                 with open(calls, "a") as f:
@@ -795,6 +795,55 @@ class TestDecayCurve:
                              text=True, timeout=120, check=True).stdout
         assert out.split("\n")[0] == "1 []"
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="counting processes fork on Linux only")
+    def test_child_stops_when_its_caller_is_terminated(self):
+        # a fresh interpreter on 2 reported CPUs counts 3,000 lags of a 1M-symbol
+        # byte text (seconds of work per process) with one forked child and gets
+        # SIGTERM, which it does not catch; its orphaned child stops after its batch
+        code = (
+            "import os\n"
+            "import numpy as np\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "fork = os.fork\n"
+            "def forked():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "os.fork = forked\n"
+            "from midecay import Corpus, LagGrid, decay_curve\n"
+            "seq = np.random.default_rng(0).integers(0, 60, 1_000_000).astype(np.uint8)\n"
+            "decay_curve(Corpus(sequences=(seq,), alphabet_size=60, mode='byte'),"
+            " LagGrid(tuple(range(1, 3001))))\n"
+        )
+
+        def alive(pid):  # a zombie has exited, whether or not it was reaped
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    return f.read().rpartition(")")[2].split()[0] not in "ZX"
+            except FileNotFoundError:
+                return False
+
+        src = os.path.dirname(os.path.dirname(estimator.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        caller = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+        try:
+            child = int(caller.stdout.readline())
+            time.sleep(0.2)
+            caller.terminate()
+            caller.wait(timeout=60)
+            deadline = time.monotonic() + 1
+            while alive(child) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not alive(child)
+        finally:
+            caller.kill()
+            caller.wait()
+            caller.stdout.close()
+            if alive(child):
+                os.kill(child, 9)
+
     # dense: 64 lags of 65,536 cells (1.5 MB each) would take 96 MB held at
     # once; sparse: 32 lags of about 300k cells (16 bytes each, 4.8 MB) 154 MB,
     # so its bound is about 8 lags' cells; batched: K' = 4 counts 7 lags per
@@ -841,6 +890,9 @@ def skewed(rng, n, k, background, share):
     return ids
 
 
+# lags below, at and past the lengths of the groups of TestGatheredSource
+EDGE_LAGS = (1, 2, 3, 4, 27, 28, 29, 60, 299, 783)
+
 # _GATHER_COST values that force each dense source: 0 gathers every corpus,
 # inf (0 * inf is nan) gathers none
 SOURCES = {"gathered": 0.0, "contiguous": math.inf}
@@ -866,12 +918,19 @@ class TestGatheredSource:
 
     # the stack's rows split into blocks of 2 rows at 64-symbol chunks, the
     # image rows and the text into column spans; the ragged rows of 2 and 5
-    # symbols end before most lags; "columns" holds a stack of 100 rows,
-    # enough for a column table at K' = 9, beside one of 3 rows, too few
-    @pytest.mark.parametrize("chunk", [estimator._CHUNK, 64])
-    @pytest.mark.parametrize("shape", ["images", "stack", "text", "ragged", "constant",
-                                       "columns"])
-    def test_matches_oracle_and_contiguous_source(self, tmp_path, shape, chunk):
+    # symbols end before most lags; "columns" holds a stack of 100 rows beside
+    # one of 3. Every lag from 1 to 783, in batches of one lag or of
+    # _GATHER_LAGS, reaches and passes the length of each group shorter than
+    # 784 (the images and the text have none, and their 783 lags take 1-3 s)
+    @pytest.mark.parametrize("shape, chunk, lags, per", [
+        *(pytest.param(shape, chunk, EDGE_LAGS, estimator._GATHER_LAGS, id=f"{shape}-{chunk}")
+          for chunk in (estimator._CHUNK, 64)
+          for shape in ("images", "stack", "text", "ragged", "constant", "columns")),
+        *(pytest.param(shape, estimator._CHUNK, range(1, 784), per, id=f"{shape}-every-lag-{per}")
+          for per in (1, estimator._GATHER_LAGS)
+          for shape in ("stack", "ragged", "constant", "columns")),
+    ])
+    def test_matches_oracle_and_contiguous_source(self, tmp_path, shape, chunk, lags, per):
         rng = np.random.default_rng(30)
         lengths = {"images": [784] * 40, "stack": [30] * 60, "text": [6000],
                    "ragged": [2, 5, 40, 40, 40, 130, 700], "constant": [300, 300, 50],
@@ -880,8 +939,9 @@ class TestGatheredSource:
         ids = skewed(rng, sum(lengths), k, background=k // 2, share=0.15)
         seqs = np.split(ids, np.cumsum(lengths)[:-1])
         c = corpus_from_lists(seqs, k)
-        grid = LagGrid((1, 2, 3, 4, 27, 28, 29, 60, 299, 783))
-        with mock.patch.object(estimator, "_CHUNK", chunk):
+        grid = LagGrid(lags)
+        with mock.patch.object(estimator, "_CHUNK", chunk), \
+                mock.patch.object(estimator, "_GATHER_LAGS", per):
             curve = self.both_sources(c, grid, tmp_path)
             groups, symbols = estimator._ranked_groups(c)
             gathered = mock.Mock(wraps=estimator._gathered)
@@ -889,12 +949,12 @@ class TestGatheredSource:
                     mock.patch.object(estimator, "_gathered", gathered):
                 cells = plan_cells(groups, symbols.size, grid.lags)
         assert gathered.call_args.args[1:] == (symbols.size, k // 2)
-        for d, (xs, ys, cs) in zip(grid.lags, cells):
-            assert dict(zip(zip(xs.tolist(), ys.tolist()), cs.tolist())) == \
-                naive_pair_counts(seqs, d)
-        assert curve.lags.tolist() == [d for d in grid.lags if naive_pair_counts(seqs, d)]
-        for d, mi, pairs in curve.points():
-            joint = naive_pair_counts(seqs, d)
+        joints = [naive_pair_counts(seqs, d) for d in grid.lags]
+        for joint, (xs, ys, cs) in zip(joints, cells):
+            assert dict(zip(zip(xs.tolist(), ys.tolist()), cs.tolist())) == joint
+        assert curve.lags.tolist() == [d for d, joint in zip(grid.lags, joints) if joint]
+        kept = [joint for joint in joints if joint]
+        for (_, mi, pairs), joint in zip(curve.points(), kept):
             assert pairs == sum(joint.values())
             assert abs(mi - max(0.0, naive_mi(joint))) < 1e-12
 
@@ -924,26 +984,40 @@ class TestGatheredSource:
 
     def test_gathered_index_is_compact(self):
         # 32-bit positions and one byte of rank per gathered symbol, and
-        # per-column offsets, not columns
+        # per-column offsets, not columns; C_d, the count of each rank in
+        # columns d and on, is one len(grid) x K' table, counted without a
+        # table of each column's ranks (L x K')
         images = skewed(np.random.default_rng(32), 2000 * 784, 32, 0, 0.15).reshape(2000, 784)
         groups, symbols = estimator._ranked_groups(
             Corpus(sequences=tuple(images.astype(np.uint8)), alphabet_size=256, mode="pixel"))
-        index, real = [], estimator._gathered
+        grid, index, real, sizes = default_lag_grid(783), [], estimator._gathered, []
 
-        def gather(*args):  # the blocks and column tables the plan builds
-            index.append(real(*args))
+        def gather(*args, **kwargs):  # the blocks and C_d the plan builds
+            index.append(real(*args, **kwargs))
             return index[0]
 
-        with mock.patch.object(estimator, "_gathered", gather):
-            estimator._counter(groups, symbols.size)
-        (blocks, columns), = index
+        def sized(make):  # records the size of each array make returns
+            def made(*args, **kwargs):
+                sizes.append((out := make(*args, **kwargs)).size)
+                return out
+            return made
+
+        with mock.patch.object(estimator, "_gathered", gather), \
+                mock.patch.object(np, "zeros", sized(np.zeros)), \
+                mock.patch.object(np, "bincount", sized(np.bincount)):
+            estimator._counter(groups, symbols.size, grid.lags)
+        (blocks, ends), = index
         gathered = np.count_nonzero(images)
+        assert {len(b) for b in blocks} == {5}
         assert sum(b[2].size for b in blocks) == gathered
-        stored = sum(b[2].nbytes + b[3].nbytes + b[5].nbytes for b in blocks)
+        stored = sum(b[2].nbytes + b[3].nbytes + b[4].nbytes for b in blocks)
         assert stored < 5.1 * gathered
-        # one (L, K') table of the stack, no larger than its ranks
-        assert [(length, count.shape) for length, count in columns] == [(784, (784, 32))]
-        assert columns[0][1].nbytes <= images.size
+        table = ends[1].base
+        assert list(ends) == list(grid.lags) and all(e.base is table for e in ends.values())
+        assert table.shape == (len(grid.lags), 32)
+        for d in (1, 64, 783):  # rank 0 is the background, which is not counted
+            assert ends[d].tolist() == [0, *np.bincount(images[:, d:].ravel())[1:].tolist()]
+        assert 0 < max(sizes) < 784 * 32
 
     def test_thread_pool_matches_serial_and_oracle(self, tmp_path):
         # the children share the index built before the fork; 500-symbol
