@@ -205,8 +205,8 @@ def cmd_grid(args) -> int:
 def cmd_permute(args) -> int:
     images, rows, cols = corpus_mod.read_idx_images(args.input)
     spec = corpus_mod.PermutationSpec(seed=args.seed, length=rows * cols)
-    p = spec.inverse_permutation() if args.inverse else spec.permutation()
-    corpus_mod.write_idx_images(args.out, images[:, p], rows, cols)
+    corpus = corpus_mod.permute(corpus_mod.Corpus((images,), 256, "pixel"), spec, args.inverse)
+    corpus_mod.write_idx_images(args.out, corpus.sequences[0], rows, cols)
     print(f"wrote {images.shape[0]} permuted images to {args.out}")
     return EXIT_OK
 

@@ -59,9 +59,9 @@ class PermutationSpec:
 class Corpus:
     """One or more symbol sequences over a shared alphabet of size alphabet_size.
 
-    Symbols are integer ids in [0, alphabet_size). For text modes the ids are
-    first-occurrence ranks and ``alphabet`` maps id -> original unit; for pixel
-    mode the ids are the raw byte values and ``alphabet`` is None.
+    An entry of ``sequences`` is one 1-D sequence or an (n, L) stack, one per
+    row, of integer ids in [0, alphabet_size): first-occurrence ranks for text
+    modes, which ``alphabet`` maps to units; raw bytes in pixel mode, no alphabet.
     """
 
     sequences: tuple[np.ndarray, ...]
@@ -80,8 +80,8 @@ class Corpus:
         seqs = tuple(np.asarray(s) for s in self.sequences)
         if not seqs:
             raise ValueError("corpus must contain at least one sequence")
-        if any(s.ndim != 1 or s.shape[0] < 1 for s in seqs):
-            raise ValueError("every sequence must be a nonempty 1-D array")
+        if any(s.ndim not in (1, 2) or s.size == 0 for s in seqs):
+            raise ValueError("every sequence must be a nonempty 1-D array or (n, L) stack")
         dtypes = {s.dtype for s in seqs}
         if not all(np.issubdtype(t, np.integer) for t in dtypes):
             raise ValueError("sequences must hold integer symbol ids")
@@ -96,11 +96,15 @@ class Corpus:
 
     @property
     def max_length(self) -> int:
-        return max(s.shape[0] for s in self.sequences)
+        return max(s.shape[-1] for s in self.sequences)
 
     @property
     def n_symbols(self) -> int:
-        return sum(s.shape[0] for s in self.sequences)
+        return sum(s.size for s in self.sequences)
+
+    @property
+    def n_sequences(self) -> int:
+        return sum(s.size // s.shape[-1] for s in self.sequences)
 
 
 def _first_occurrence_ranks(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -257,29 +261,23 @@ def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:
 
 
 def load_idx_images(path) -> Corpus:
-    """Load an IDX image file; one sequence per image, raw bytes as symbol ids."""
+    """Load an IDX image file as one (images, pixels) stack, a view of its bytes as ids."""
     images, rows, cols = read_idx_images(path)
-    return Corpus(
-        sequences=tuple(images[i] for i in range(images.shape[0])),
-        alphabet_size=256,
-        mode="pixel",
-        source_meta=f"{path};mode=pixel;images={images.shape[0]};rows={rows};cols={cols}",
-    )
+    meta = f"{path};mode=pixel;images={images.shape[0]};rows={rows};cols={cols}"
+    return Corpus(sequences=(images,), alphabet_size=256, mode="pixel", source_meta=meta)
 
 
 def permute(corpus: Corpus, spec: PermutationSpec, inverse: bool = False) -> Corpus:
-    """Apply the same fixed position permutation to every sequence.
+    """Apply the same fixed position permutation to every sequence, one np.take per entry.
 
     With inverse=True the inverse permutation is applied, so permuting with a
     spec and then again with inverse=True restores the original corpus.
     """
     for s in corpus.sequences:
-        if s.shape[0] != spec.length:
-            raise CorpusError(
-                f"sequence length {s.shape[0]} != permutation length {spec.length}"
-            )
+        if s.shape[-1] != spec.length:
+            raise CorpusError(f"sequence length {s.shape[-1]} != permutation length {spec.length}")
     p = spec.inverse_permutation() if inverse else spec.permutation()
-    sequences = tuple(np.ascontiguousarray(s[p]) for s in corpus.sequences)
+    sequences = tuple(np.take(s, p, axis=-1) for s in corpus.sequences)
     note = f";permuted(seed={spec.seed}, inverse={inverse})"
     return Corpus(
         sequences=sequences,

@@ -170,17 +170,18 @@ def _ranked_groups(corpus: Corpus) -> tuple[list[np.ndarray], np.ndarray]:
     """The sequences as one (n, L) matrix of symbol ranks per distinct length L,
     and the ascending ids of the symbols that occur: rank r is symbols[r].
 
-    A text is one 1 x N view, an image set one n x L stack, a ragged corpus
-    several groups; pairs at lag d come from rows[:, :L-d] and rows[:, d:].
-    Ranks are stored in the narrowest dtype that holds them. When every symbol
-    of the alphabet occurs in that dtype already, the groups are the ids
-    themselves; else each group is relabelled chunk by chunk, a stack in place
-    when its dtype is the ranks', so no second copy of the corpus is kept.
+    Each entry is viewed as (-1, L), so a text is one 1 x N group and a stack
+    its own, uncopied; entries of one length are concatenated. Pairs at lag d
+    come from rows[:, :L-d] and rows[:, d:]. Ranks are stored in the narrowest
+    dtype that holds them. When every symbol of the alphabet occurs in that
+    dtype already, the groups are the ids themselves; else each is relabelled
+    chunk by chunk, in place only in a concatenation made here, never an entry.
     """
     by_length: dict[int, list[np.ndarray]] = {}
     for s in corpus.sequences:
-        by_length.setdefault(s.shape[0], []).append(s)
-    groups = [g[0][None] if len(g) == 1 else np.stack(g) for g in by_length.values()]
+        by_length.setdefault(s.shape[-1], []).append(s.reshape(-1, s.shape[-1]))
+    owned = [len(g) > 1 for g in by_length.values()]
+    groups = [np.concatenate(g) if own else g[0] for g, own in zip(by_length.values(), owned)]
     # marked through the index itself: bincount's intp copy of a chunk would
     # stay in the process's resident set after it is freed
     seen = np.zeros(corpus.alphabet_size, dtype=bool)
@@ -194,8 +195,7 @@ def _ranked_groups(corpus: Corpus) -> tuple[list[np.ndarray], np.ndarray]:
     lut = np.zeros(symbols[-1] + 1, dtype=dtype)
     lut[symbols] = np.arange(symbols.size)
     for n, rows in enumerate(groups):
-        own = rows.flags.owndata and rows.dtype == dtype
-        ranks = rows if own else np.empty(rows.shape, dtype=dtype)
+        ranks = rows if owned[n] and rows.dtype == dtype else np.empty(rows.shape, dtype=dtype)
         for chunk, out in zip(_chunks(rows, 0, _CHUNK), _chunks(ranks, 0, _CHUNK)):
             out[...] = lut[chunk]
         groups[n] = ranks
@@ -557,7 +557,7 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
         "alphabet_size": corpus.alphabet_size,
         "mode": corpus.mode,
         "source_meta": corpus.source_meta,
-        "n_sequences": len(corpus.sequences),
+        "n_sequences": corpus.n_sequences,
         "skipped_lags": skipped,
         "bias_floor_nats": list(floors),
     }

@@ -2,6 +2,7 @@
 
 import math
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +18,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # independent oracles (pure python, no shared code with the implementation)
 
 def naive_pair_counts(seqs, d):
-    """Brute-force double loop over every sequence."""
-    joint = {}
-    for s in seqs:
-        s = list(s)
-        for t in range(len(s) - d):
-            key = (int(s[t]), int(s[t + d]))
-            joint[key] = joint.get(key, 0) + 1
-    return joint
+    """Brute-force count of the pairs (s[t], s[t + d]) of every sequence, or
+    of every row of an (n, L) stack, over Python ints."""
+    joint = Counter()
+    for entry in seqs:
+        rows = np.asarray(entry).tolist()  # ints, converted once per symbol
+        for s in rows if np.ndim(entry) == 2 else [rows]:
+            joint.update(zip(s, s[d:]))
+    return dict(joint)
 
 
 def plan_cells(groups, k, lags):
@@ -140,12 +141,9 @@ def synth_images(n_images, seed=0, side=28, levels=32):
 
 
 def image_corpus(n_images, seed=0, side=28):
-    imgs = synth_images(n_images, seed=seed, side=side)
-    return Corpus(
-        sequences=tuple(imgs[i] for i in range(imgs.shape[0])),
-        alphabet_size=256,
-        mode="pixel",
-    )
+    """The images as one (n_images, side*side) stack, as load_idx_images gives."""
+    return Corpus(sequences=(synth_images(n_images, seed=seed, side=side),),
+                  alphabet_size=256, mode="pixel")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from midecay import corpus, estimator, write_idx_images
+from midecay import PermutationSpec, corpus, estimator, read_idx_images, write_idx_images
 from midecay.cli import build_parser, main
 from tests.conftest import REPO_ROOT, synth_images
 
@@ -61,6 +61,9 @@ class TestAnalyze:
             "--max-lag", "200", "--min-pairs", "1", "--out", str(out),
         ]) == 0
         assert out.exists()
+        # the set loads as one stack; the sidecar still counts its images
+        meta = json.loads((tmp_path / "curve.csv.meta.json").read_text())
+        assert meta["n_sequences"] == 400
 
     def test_sidecar_written(self, tmp_path):
         src = write_pattern_file(tmp_path)
@@ -300,6 +303,9 @@ class TestPermuteCommand:
                      "--inverse", "--out", str(back)]) == 0
         assert back.read_bytes() == src.read_bytes()
         assert fwd.read_bytes() != src.read_bytes()
+        # every image takes the seed's position map: pixel i is pixel p[i]
+        p = PermutationSpec(9, 784).permutation()
+        assert np.array_equal(read_idx_images(fwd)[0], read_idx_images(src)[0][:, p])
 
     def test_same_seed_byte_identical(self, tmp_path):
         src = write_idx(tmp_path, n_images=10)

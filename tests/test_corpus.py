@@ -237,8 +237,9 @@ class TestIdx:
         p = tmp_path / "imgs.idx"
         write_idx_images(p, images, 28, 28)
         c = load_idx_images(p)
-        assert len(c.sequences) == 3
-        assert all(s.shape[0] == 784 for s in c.sequences)
+        (stack,) = c.sequences  # one (n, L) stack, not one array per image
+        assert stack.shape == (3, 784) and stack.dtype == np.uint8
+        assert (c.n_sequences, c.max_length, c.n_symbols) == (3, 784, 3 * 784)
         assert c.alphabet_size == 256
         assert c.mode == "pixel"
 
@@ -248,15 +249,17 @@ class TestIdx:
         p = tmp_path / "imgs.idx"
         write_idx_images(p, images, 16, 16)
         c = load_idx_images(p)
-        assert [s.dtype for s in c.sequences] == [np.uint8] * 3
-        assert np.array_equal(np.stack(c.sequences), images)
+        (stack,) = c.sequences
+        assert stack.dtype == np.uint8 and c.n_sequences == 3
+        assert np.array_equal(stack, images)
 
     def test_minimal_single_pixel_file(self, tmp_path):
         p = tmp_path / "one.idx"
         write_idx_images(p, np.zeros((1, 1), dtype=np.uint8), 1, 1)
         c = load_idx_images(p)
-        assert len(c.sequences) == 1
-        assert c.sequences[0].tolist() == [0]
+        (stack,) = c.sequences
+        assert stack.dtype == np.uint8 and c.n_sequences == 1
+        assert stack.tolist() == [[0]]
 
     def test_row_major_flattening(self, tmp_path):
         # single nonzero pixel at row r, col c must land at index 28*r + c
@@ -265,7 +268,9 @@ class TestIdx:
         p = tmp_path / "imgs.idx"
         write_idx_images(p, img.reshape(1, 784), 28, 28)
         c = load_idx_images(p)
-        assert int(np.nonzero(c.sequences[0])[0][0]) == 28 * 5 + 11
+        (stack,) = c.sequences
+        assert stack.shape == (1, 784) and stack.dtype == np.uint8 and c.n_sequences == 1
+        assert np.flatnonzero(stack[0]).tolist() == [28 * 5 + 11]
 
     def test_bad_magic(self, tmp_path):
         payload = (0x00000801).to_bytes(4, "big") + (1).to_bytes(4, "big") * 3 + b"\x00"
@@ -313,6 +318,24 @@ class TestCorpusInvariants:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             Corpus(sequences=(np.array([], dtype=int),), alphabet_size=1, mode="byte")
+
+    def test_stack_entries_counted_by_row(self):
+        # an entry is one 1-D sequence or an (n, L) stack of n rows
+        c = Corpus(sequences=(np.zeros((3, 5), np.uint8), np.arange(7) % 2), alphabet_size=2,
+                   mode="pixel")
+        assert (c.n_sequences, c.max_length, c.n_symbols) == (4, 7, 22)
+
+    @pytest.mark.parametrize("entry", [np.zeros((0, 4), np.uint8), np.zeros((2, 0), np.uint8),
+                                       np.zeros((2, 2, 2), np.uint8)])
+    def test_empty_or_deeper_stack_rejected(self, entry):
+        with pytest.raises(ValueError, match="stack"):
+            Corpus(sequences=(entry,), alphabet_size=1, mode="pixel")
+
+    def test_stack_id_range_enforced(self):
+        stack = np.zeros((3, 4), np.int16)
+        stack[2, 3] = 9
+        with pytest.raises(ValueError, match="alphabet_size"):
+            Corpus(sequences=(stack,), alphabet_size=9, mode="pixel")
 
     def test_byte_alphabet_cap(self):
         with pytest.raises(ValueError, match="256"):
@@ -364,6 +387,20 @@ class TestPermutation:
         c = Corpus(sequences=(np.array([0, 1, 0]),), alphabet_size=2, mode="byte")
         with pytest.raises(CorpusError, match="length"):
             permute(c, PermutationSpec(0, 4))
+
+    def test_stack_permuted_as_its_rows(self):
+        # one gather per entry: a stack's rows are permuted like 1-D rows, and
+        # the length checked is that of a row, not the row count
+        stack = np.random.default_rng(4).integers(0, 5, (4, 9)).astype(np.uint8)
+        spec = PermutationSpec(6, 9)
+        (out,) = permute(Corpus((stack,), 5, "pixel"), spec).sequences
+        rows = permute(Corpus(tuple(stack), 5, "pixel"), spec).sequences
+        assert out.shape == (4, 9) and out.dtype == np.uint8 and out.flags.c_contiguous
+        assert np.array_equal(out, np.stack(rows))
+        back = permute(Corpus((out,), 5, "pixel"), spec, inverse=True)
+        assert np.array_equal(back.sequences[0], stack)
+        with pytest.raises(CorpusError, match="length 9 != permutation length 4"):
+            permute(Corpus((stack,), 5, "pixel"), PermutationSpec(0, 4))
 
     def test_seed_recorded_in_meta(self):
         c = Corpus(sequences=(np.array([0, 1]),), alphabet_size=2, mode="byte")

@@ -23,10 +23,12 @@ from midecay import (
     EstimationError,
     EstimatorConfig,
     LagGrid,
+    PermutationSpec,
     curve_from_csv,
     curve_to_csv,
     decay_curve,
     default_lag_grid,
+    permute,
 )
 from midecay import estimator
 from tests.conftest import (
@@ -39,6 +41,13 @@ from tests.conftest import (
     pattern_corpus,
     plan_cells,
 )
+
+def assert_same_csv(tmp_path, curve, other):
+    """The two curves' CSV files are byte-identical."""
+    curve_to_csv(curve, tmp_path / "curve.csv")
+    curve_to_csv(other, tmp_path / "other.csv")
+    assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "other.csv").read_bytes()
+
 
 # value computed with the hand-enumerated oracle over the 7 lag-1 pairs of
 # a,b,a,a,b,b,a,b before the implementation existed
@@ -384,20 +393,22 @@ class TestDecayCurve:
                 assert joint_dict(c, d) == joint
                 assert abs(mi - max(0.0, naive_mi(joint))) < 1e-12
 
-    @pytest.mark.parametrize("shape", ["text", "stack", "ragged"])
+    @pytest.mark.parametrize("shape", ["text", "stack", "stack-array", "ragged"])
     @pytest.mark.parametrize("k, m", [(1, 15), (2, 15), (4, 7), (16, 3), (40, 2), (41, 1)])
-    def test_lag_batches_match_oracle(self, k, m, shape):
+    def test_lag_batches_match_oracle(self, tmp_path, k, m, shape):
         # one pass counts m lags as (m+1)-tuples, and each lag's pairs beyond
         # the batch's last lag directly; 64-code chunks split the 3,000-symbol
         # text into column spans and the 40 x 30 stack into pairs of rows, and
         # for m > 1 the ragged rows of 2 and m symbols end inside the first
         # batch (d_1 < L <= d_m); each point is also bit-exact with a one-lag
-        # curve's
-        lengths = {"text": [3000], "stack": [30] * 40,
+        # curve's. "stack-array" is the stack as one (40, 30) entry.
+        lengths = {"text": [3000], "stack": [30] * 40, "stack-array": [30] * 40,
                    "ragged": [2, m, m + 1, 40, 40, 130, 700]}[shape]
         ids = np.random.default_rng(k).integers(0, k, sum(lengths))
         ids[:k] = np.arange(k)  # every symbol occurs
         seqs = np.split(ids, np.cumsum(lengths)[:-1])
+        if shape == "stack-array":
+            seqs = [ids.reshape(40, 30)]
         c = corpus_from_lists(seqs, k)
         lags = tuple(range(1, 3 * m + 2)) + (3 * m + 5, 3 * m + 9, 100, 650)
         config = EstimatorConfig(min_pair_count=1)
@@ -422,6 +433,9 @@ class TestDecayCurve:
             assert pairs == sum(joint.values())
             assert abs(mi - max(0.0, naive_mi(joint))) < 1e-12
             assert mi == lag_mi(c, d)
+        if shape == "stack-array":  # the same CSV bytes as the stack's 40 rows
+            rows = decay_curve(corpus_from_lists(seqs[0], k), LagGrid(lags), config)
+            assert_same_csv(tmp_path, curve, rows)
 
     def test_batch_size_follows_from_occurring_symbols(self):
         def plan(k):  # the counting plan of a text where k symbols occur evenly
@@ -461,21 +475,56 @@ class TestDecayCurve:
         assert symbols.tolist() == list(range(60))
         assert len(groups) == 1 and np.shares_memory(groups[0], seq)
 
+    def test_all_levels_stack_counted_uncopied(self, tmp_path):
+        # a uint8 stack where all 256 levels occur is its own group, as it is;
+        # read-only, like load_idx_images's view of the file's bytes, it is
+        # counted as its rows are
+        stack = np.random.default_rng(22).integers(0, 256, (50, 784)).astype(np.uint8)
+        stack[0, :256] = np.arange(256)
+        stack.flags.writeable = False
+        c = Corpus(sequences=(stack,), alphabet_size=256, mode="pixel")
+        groups, symbols = estimator._ranked_groups(c)
+        assert symbols.size == 256
+        assert len(groups) == 1 and np.shares_memory(groups[0], stack)
+        grid = default_lag_grid(100)
+        rows = Corpus(sequences=tuple(stack), alphabet_size=256, mode="pixel")
+        assert_same_csv(tmp_path, decay_curve(c, grid), decay_curve(rows, grid))
+
     def test_image_stack_relabelled_in_place(self):
-        # 2,000 images of 784 pixels take 1.57 MB; a second copy would take as much
+        # 2,000 images of 784 pixels take 1.57 MB; a second copy would take as
+        # much. The rows are concatenated into one buffer that is relabelled
+        # in place; a stack entry is the caller's, so its ranks take one array
         rng = np.random.default_rng(20)
         images = (rng.integers(0, 32, (2000, 784)) * 8).astype(np.uint8)
-        c = Corpus(sequences=tuple(images), alphabet_size=256, mode="pixel")
-        with mock.patch.object(estimator, "_CHUNK", 10_000):
-            tracemalloc.start()
-            try:
-                groups, symbols = estimator._ranked_groups(c)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak < images.nbytes + 500_000
-        assert symbols.tolist() == list(range(0, 256, 8))
-        assert groups[0].dtype == np.uint8 and groups[0].tolist() == (images // 8).tolist()
+        for sequences in (tuple(images), (images,)):
+            c = Corpus(sequences=sequences, alphabet_size=256, mode="pixel")
+            with mock.patch.object(estimator, "_CHUNK", 10_000):
+                tracemalloc.start()
+                try:
+                    groups, symbols = estimator._ranked_groups(c)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < images.nbytes + 500_000
+            assert symbols.tolist() == list(range(0, 256, 8))
+            assert groups[0].dtype == np.uint8 and groups[0].tolist() == (images // 8).tolist()
+            assert not np.shares_memory(groups[0], images)
+
+    def test_caller_stacks_never_written(self):
+        # 32 levels spaced by 8 (K' < K) in owned, writable uint8 stacks, the
+        # ranks' own dtype: the caller's stack and permute's output are
+        # relabelled into arrays of their own, and stay bit-for-bit unchanged
+        rng = np.random.default_rng(23)
+        stack = (rng.integers(0, 32, (300, 784)) * 8).astype(np.uint8)
+        permuted = permute(Corpus((stack,), 256, "pixel"), PermutationSpec(2, 784))
+        for c in (Corpus((stack,), 256, "pixel"), permuted):
+            (entry,) = c.sequences
+            assert entry.flags.owndata and entry.flags.writeable
+            before = entry.copy()
+            for source in SOURCES.values():
+                with mock.patch.object(estimator, "_GATHER_COST", source):
+                    decay_curve(c, default_lag_grid(100))
+            assert np.array_equal(entry, before)
 
     def test_wide_alphabet_codes_match_oracle(self):
         # K' = 65,537 ranks take uint32 and their pair codes no longer fit in
@@ -919,30 +968,37 @@ class TestGatheredSource:
     # the stack's rows split into blocks of 2 rows at 64-symbol chunks, the
     # image rows and the text into column spans; the ragged rows of 2 and 5
     # symbols end before most lags; "columns" holds a stack of 100 rows beside
-    # one of 3. Every lag from 1 to 783, in batches of one lag or of
+    # one of 3; "images-array" and "stack-array" hold those rows as one (n, L)
+    # entry. Every lag from 1 to 783, in batches of one lag or of
     # _GATHER_LAGS, reaches and passes the length of each group shorter than
     # 784 (the images and the text have none, and their 783 lags take 1-3 s)
     @pytest.mark.parametrize("shape, chunk, lags, per", [
         *(pytest.param(shape, chunk, EDGE_LAGS, estimator._GATHER_LAGS, id=f"{shape}-{chunk}")
           for chunk in (estimator._CHUNK, 64)
-          for shape in ("images", "stack", "text", "ragged", "constant", "columns")),
+          for shape in ("images", "images-array", "stack", "stack-array", "text", "ragged",
+                        "constant", "columns")),
         *(pytest.param(shape, estimator._CHUNK, range(1, 784), per, id=f"{shape}-every-lag-{per}")
           for per in (1, estimator._GATHER_LAGS)
-          for shape in ("stack", "ragged", "constant", "columns")),
+          for shape in ("stack", "stack-array", "ragged", "constant", "columns")),
     ])
     def test_matches_oracle_and_contiguous_source(self, tmp_path, shape, chunk, lags, per):
         rng = np.random.default_rng(30)
         lengths = {"images": [784] * 40, "stack": [30] * 60, "text": [6000],
                    "ragged": [2, 5, 40, 40, 40, 130, 700], "constant": [300, 300, 50],
-                   "columns": [30] * 100 + [40] * 3}[shape]
+                   "columns": [30] * 100 + [40] * 3}[shape.removesuffix("-array")]
         k = 1 if shape == "constant" else 9
         ids = skewed(rng, sum(lengths), k, background=k // 2, share=0.15)
         seqs = np.split(ids, np.cumsum(lengths)[:-1])
-        c = corpus_from_lists(seqs, k)
+        c = rows = corpus_from_lists(seqs, k)
+        if shape.endswith("-array"):
+            seqs = [ids.reshape(len(lengths), -1)]
+            c = corpus_from_lists(seqs, k)
         grid = LagGrid(lags)
         with mock.patch.object(estimator, "_CHUNK", chunk), \
                 mock.patch.object(estimator, "_GATHER_LAGS", per):
             curve = self.both_sources(c, grid, tmp_path)
+            if c is not rows:  # the same CSV bytes as the row layout
+                assert_same_csv(tmp_path, curve, decay_curve(rows, grid, ONE_PAIR))
             groups, symbols = estimator._ranked_groups(c)
             gathered = mock.Mock(wraps=estimator._gathered)
             with mock.patch.object(estimator, "_GATHER_COST", 0.0), \
