@@ -59,9 +59,11 @@ class PermutationSpec:
 class Corpus:
     """One or more symbol sequences over a shared alphabet of size alphabet_size.
 
-    An entry of ``sequences`` is one 1-D sequence or an (n, L) stack, one per
-    row, of integer ids in [0, alphabet_size): first-occurrence ranks for text
-    modes, which ``alphabet`` maps to units; raw bytes in pixel mode, no alphabet.
+    Each entry passed is one 1-D sequence or an (n, L) stack, one per row, of
+    ids in [0, alphabet_size): first-occurrence ranks for text modes, which
+    ``alphabet`` maps to units; raw bytes in pixel mode, no alphabet. They are
+    stored as one (n, L) group per row length, in first-seen order and in the
+    alphabet's narrowest unsigned dtype, uncopied if alone and in that dtype.
     """
 
     sequences: tuple[np.ndarray, ...]
@@ -87,24 +89,30 @@ class Corpus:
             raise ValueError("sequences must hold integer symbol ids")
         # only a dtype that can hold an invalid id is scanned: uint8 with K = 256 is not
         scan = {t for t in dtypes if np.iinfo(t).min < 0 or np.iinfo(t).max >= self.alphabet_size}
+        by_length: dict[int, list[np.ndarray]] = {}
         for s in seqs:
             if s.dtype in scan and (int(s.min()) < 0 or int(s.max()) >= self.alphabet_size):
                 raise ValueError("symbol id outside [0, alphabet_size)")
-        object.__setattr__(self, "sequences", seqs)
+            by_length.setdefault(s.shape[-1], []).append(np.atleast_2d(s))
+        # the ids were range-checked, so the narrowing cast cannot wrap
+        dtype = np.min_scalar_type(self.alphabet_size - 1)
+        object.__setattr__(self, "sequences", tuple(
+            g[0].astype(dtype, copy=False) if len(g) == 1
+            else np.concatenate(g, dtype=dtype, casting="unsafe") for g in by_length.values()))
         if self.alphabet is not None:
             object.__setattr__(self, "alphabet", tuple(self.alphabet))
 
     @property
     def max_length(self) -> int:
-        return max(s.shape[-1] for s in self.sequences)
+        return max(rows.shape[1] for rows in self.sequences)
 
     @property
     def n_symbols(self) -> int:
-        return sum(s.size for s in self.sequences)
+        return sum(rows.size for rows in self.sequences)
 
     @property
     def n_sequences(self) -> int:
-        return sum(s.size // s.shape[-1] for s in self.sequences)
+        return sum(rows.shape[0] for rows in self.sequences)
 
 
 def _first_occurrence_ranks(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -186,8 +194,7 @@ def load_text(path, mode: str) -> Corpus:
 
     mode=byte treats the raw bytes as units, mode=char the UTF-8 decoded
     characters, mode=word the ASCII-whitespace-separated tokens. Ids are
-    assigned in first-occurrence order and stored in the smallest unsigned
-    dtype that holds them.
+    assigned in first-occurrence order.
     """
     if mode not in ("byte", "char", "word"):
         raise ValueError(f"load_text mode must be byte/char/word, got {mode!r}")
@@ -216,7 +223,7 @@ def load_text(path, mode: str) -> Corpus:
             raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
 
     return Corpus(
-        sequences=(ids.astype(np.min_scalar_type(len(alphabet) - 1), copy=False),),
+        sequences=(ids,),
         alphabet_size=len(alphabet),
         mode=mode,
         source_meta=f"{path};mode={mode}",
@@ -252,6 +259,10 @@ def read_idx_images(path) -> tuple[np.ndarray, int, int]:
 
 
 def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:
+    images = np.asarray(images)
+    if images.dtype != np.uint8 and not (np.issubdtype(images.dtype, np.integer) and (
+            images.size == 0 or 0 <= images.min() <= images.max() <= 255)):
+        raise ValueError("pixel values must be integers in [0, 255]")
     images = np.ascontiguousarray(images, dtype=np.uint8)
     if images.ndim != 2 or images.shape[1] != rows * cols:
         raise ValueError("images must have shape (count, rows*cols)")
@@ -268,16 +279,16 @@ def load_idx_images(path) -> Corpus:
 
 
 def permute(corpus: Corpus, spec: PermutationSpec, inverse: bool = False) -> Corpus:
-    """Apply the same fixed position permutation to every sequence, one np.take per entry.
+    """Apply the same fixed position permutation to every sequence, one np.take per group.
 
     With inverse=True the inverse permutation is applied, so permuting with a
     spec and then again with inverse=True restores the original corpus.
     """
-    for s in corpus.sequences:
-        if s.shape[-1] != spec.length:
-            raise CorpusError(f"sequence length {s.shape[-1]} != permutation length {spec.length}")
+    for rows in corpus.sequences:
+        if rows.shape[1] != spec.length:
+            raise CorpusError(f"sequence length {rows.shape[1]} != permutation length {spec.length}")
     p = spec.inverse_permutation() if inverse else spec.permutation()
-    sequences = tuple(np.take(s, p, axis=-1) for s in corpus.sequences)
+    sequences = tuple(np.take(rows, p, axis=1) for rows in corpus.sequences)
     note = f";permuted(seed={spec.seed}, inverse={inverse})"
     return Corpus(
         sequences=sequences,

@@ -167,38 +167,27 @@ def _chunks(rows: np.ndarray, d: int, size: int):
 
 
 def _ranked_groups(corpus: Corpus) -> tuple[list[np.ndarray], np.ndarray]:
-    """The sequences as one (n, L) matrix of symbol ranks per distinct length L,
-    and the ascending ids of the symbols that occur: rank r is symbols[r].
-
-    Each entry is viewed as (-1, L), so a text is one 1 x N group and a stack
-    its own, uncopied; entries of one length are concatenated. Pairs at lag d
-    come from rows[:, :L-d] and rows[:, d:]. Ranks are stored in the narrowest
-    dtype that holds them. When every symbol of the alphabet occurs in that
-    dtype already, the groups are the ids themselves; else each is relabelled
-    chunk by chunk, in place only in a concatenation made here, never an entry.
+    """The corpus's (n, L) groups as symbol ranks, and the ascending ids of
+    the symbols that occur: rank r is symbols[r]. Pairs at lag d come from
+    rows[:, :L-d] and rows[:, d:]. When every symbol occurs the ranks are the
+    ids, the corpus's own groups; else each group is relabelled chunk by
+    chunk into a new array in the narrowest dtype that holds the ranks.
     """
-    by_length: dict[int, list[np.ndarray]] = {}
-    for s in corpus.sequences:
-        by_length.setdefault(s.shape[-1], []).append(s.reshape(-1, s.shape[-1]))
-    owned = [len(g) > 1 for g in by_length.values()]
-    groups = [np.concatenate(g) if own else g[0] for g, own in zip(by_length.values(), owned)]
+    groups = list(corpus.sequences)
     # marked through the index itself: bincount's intp copy of a chunk would
     # stay in the process's resident set after it is freed
     seen = np.zeros(corpus.alphabet_size, dtype=bool)
-    for rows in groups:
-        for chunk in _chunks(rows, 0, _CHUNK):
-            seen[chunk] = True
+    for chunk in itertools.chain(*(_chunks(rows, 0, _CHUNK) for rows in groups)):
+        seen[chunk] = True
     symbols = np.flatnonzero(seen)
-    dtype = np.min_scalar_type(symbols.size - 1)
-    if symbols.size == corpus.alphabet_size and all(rows.dtype == dtype for rows in groups):
+    if symbols.size == corpus.alphabet_size:
         return groups, symbols
-    lut = np.zeros(symbols[-1] + 1, dtype=dtype)
+    lut = np.zeros(symbols[-1] + 1, dtype=np.min_scalar_type(symbols.size - 1))
     lut[symbols] = np.arange(symbols.size)
     for n, rows in enumerate(groups):
-        ranks = rows if owned[n] and rows.dtype == dtype else np.empty(rows.shape, dtype=dtype)
-        for chunk, out in zip(_chunks(rows, 0, _CHUNK), _chunks(ranks, 0, _CHUNK)):
+        groups[n] = np.empty(rows.shape, dtype=lut.dtype)
+        for chunk, out in zip(_chunks(rows, 0, _CHUNK), _chunks(groups[n], 0, _CHUNK)):
             out[...] = lut[chunk]
-        groups[n] = ranks
     return groups, symbols
 
 

@@ -35,29 +35,30 @@ class TestLoadText:
     def test_byte_mode_first_occurrence_ids(self, tmp_path):
         p = write_bytes(tmp_path, "t.txt", b"abab")
         c = load_text(p, "byte")
-        assert len(c.sequences) == 1
-        assert c.sequences[0].tolist() == [0, 1, 0, 1]
+        assert len(c.sequences) == 1  # one 1 x N group
+        assert c.sequences[0].tolist() == [[0, 1, 0, 1]]
         assert c.alphabet_size == 2
         assert c.alphabet == (ord("a"), ord("b"))
 
     def test_single_symbol_alphabet(self, tmp_path):
         p = write_bytes(tmp_path, "t.txt", b"aa")
         c = load_text(p, "byte")
-        assert c.sequences[0].tolist() == [0, 0]
+        assert c.sequences[0].tolist() == [[0, 0]]
         assert c.alphabet_size == 1
 
     def test_byte_decoding_reverses_encoding(self, tmp_path):
         data = b"the quick brown fox jumps over the lazy dog"
         p = write_bytes(tmp_path, "t.txt", data)
         c = load_text(p, "byte")
-        decoded = bytes(c.alphabet[i] for i in c.sequences[0])
+        (row,) = c.sequences[0]
+        decoded = bytes(c.alphabet[i] for i in row)
         assert decoded == data
 
     def test_char_mode_utf8(self, tmp_path):
         p = write_bytes(tmp_path, "t.txt", "héhé!".encode("utf-8"))
         c = load_text(p, "char")
         assert c.alphabet == ("h", "é", "!")
-        assert c.sequences[0].tolist() == [0, 1, 0, 1, 2]
+        assert c.sequences[0].tolist() == [[0, 1, 0, 1, 2]]
 
     def test_char_mode_rejects_invalid_utf8(self, tmp_path):
         p = write_bytes(tmp_path, "t.bin", b"ok\xff\xfe")
@@ -81,7 +82,7 @@ class TestLoadText:
         p = write_bytes(tmp_path, "t.txt", b"The cat\tthe cat\nThe")
         c = load_text(p, "word")
         assert c.alphabet == ("The", "cat", "the")
-        assert c.sequences[0].tolist() == [0, 1, 2, 1, 0]
+        assert c.sequences[0].tolist() == [[0, 1, 2, 1, 0]]
 
     def test_empty_file_rejected(self, tmp_path):
         p = write_bytes(tmp_path, "t.txt", b"")
@@ -152,7 +153,7 @@ class TestLoadText:
                 c = load_text(p, mode)
                 table = {}
                 expected = [table.setdefault(u, len(table)) for u in seq]
-                assert c.sequences[0].tolist() == expected
+                assert c.sequences[0].tolist() == [expected]
                 assert c.sequences[0].dtype == np.min_scalar_type(len(table) - 1)
                 assert c.alphabet == tuple(table)
 
@@ -272,6 +273,33 @@ class TestIdx:
         assert stack.shape == (1, 784) and stack.dtype == np.uint8 and c.n_sequences == 1
         assert np.flatnonzero(stack[0]).tolist() == [28 * 5 + 11]
 
+    def test_loaded_stack_is_a_read_only_view_of_the_file_bytes(self, tmp_path):
+        p = tmp_path / "imgs.idx"
+        write_idx_images(p, np.arange(12, dtype=np.uint8).reshape(3, 4), 2, 2)
+        (stack,) = load_idx_images(p).sequences
+        assert not stack.flags.writeable
+        base = stack
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, bytes) and base[16:] == bytes(range(12))
+
+    @pytest.mark.parametrize("images", [
+        np.array([[0, 300]]),  # would be written as 44
+        np.array([[-1, 0]]),  # as 255
+        np.array([[0.0, 1.7]]),  # as 1
+        np.array([[True, False]]),
+    ])
+    def test_write_rejects_values_that_are_not_pixels(self, tmp_path, images):
+        p = tmp_path / "imgs.idx"
+        with pytest.raises(ValueError, match="pixel values"):
+            write_idx_images(p, images, 1, 2)
+        assert not p.exists()
+
+    def test_write_accepts_wide_ids_in_range(self, tmp_path):
+        p = tmp_path / "imgs.idx"
+        write_idx_images(p, np.array([[0, 255], [7, 9]], dtype=np.int64), 1, 2)
+        assert read_idx_images(p)[0].tolist() == [[0, 255], [7, 9]]
+
     def test_bad_magic(self, tmp_path):
         payload = (0x00000801).to_bytes(4, "big") + (1).to_bytes(4, "big") * 3 + b"\x00"
         p = tmp_path / "bad.idx"
@@ -318,6 +346,31 @@ class TestCorpusInvariants:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             Corpus(sequences=(np.array([], dtype=int),), alphabet_size=1, mode="byte")
+
+    def test_narrow_text_and_stack_stored_uncopied(self):
+        text = np.arange(10, dtype=np.uint8) % 3
+        stack = np.arange(20, dtype=np.uint8).reshape(4, 5) % 5
+        (row,) = Corpus((text,), 3, "byte").sequences
+        assert row.shape == (1, 10) and np.shares_memory(row, text)
+        (rows,) = Corpus((stack,), 5, "pixel").sequences
+        assert rows is stack
+
+    @pytest.mark.parametrize("k, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16),
+                                          (70_000, np.uint32)])
+    def test_ids_stored_in_the_alphabets_narrowest_dtype(self, k, dtype):
+        ids = np.array([0, 1, 1, 0], dtype=np.int64)
+        (group,) = Corpus((ids,), k, "word").sequences
+        assert group.dtype == dtype and group.tolist() == [[0, 1, 1, 0]]
+
+    def test_equal_length_entries_form_one_group_in_first_seen_order(self):
+        a, b, c = np.arange(5) % 2, np.ones(7, np.int16), np.zeros(5, np.uint64)
+        d, e = np.zeros((2, 7), np.uint8), np.ones(3, np.int8)
+        corpus = Corpus((a, b, c, d, e), 2, "byte")
+        assert [g.shape for g in corpus.sequences] == [(2, 5), (3, 7), (1, 3)]
+        assert all(g.dtype == np.uint8 for g in corpus.sequences)
+        assert corpus.sequences[0].tolist() == [a.tolist(), c.tolist()]
+        assert corpus.sequences[1].tolist() == [b.tolist(), *d.tolist()]
+        assert (corpus.n_sequences, corpus.max_length, corpus.n_symbols) == (6, 7, 34)
 
     def test_stack_entries_counted_by_row(self):
         # an entry is one 1-D sequence or an (n, L) stack of n rows
@@ -381,7 +434,8 @@ class TestPermutation:
         rng = np.random.default_rng(3)
         c = Corpus(sequences=(rng.integers(0, 9, 50),), alphabet_size=9, mode="byte")
         p = permute(c, PermutationSpec(8, 50))
-        assert sorted(p.sequences[0].tolist()) == sorted(c.sequences[0].tolist())
+        assert p.sequences[0].shape == c.sequences[0].shape == (1, 50)
+        assert sorted(p.sequences[0][0].tolist()) == sorted(c.sequences[0][0].tolist())
 
     def test_length_mismatch(self):
         c = Corpus(sequences=(np.array([0, 1, 0]),), alphabet_size=2, mode="byte")
@@ -389,14 +443,15 @@ class TestPermutation:
             permute(c, PermutationSpec(0, 4))
 
     def test_stack_permuted_as_its_rows(self):
-        # one gather per entry: a stack's rows are permuted like 1-D rows, and
+        # one gather per group: a stack's rows are permuted like 1-D rows, and
         # the length checked is that of a row, not the row count
         stack = np.random.default_rng(4).integers(0, 5, (4, 9)).astype(np.uint8)
         spec = PermutationSpec(6, 9)
         (out,) = permute(Corpus((stack,), 5, "pixel"), spec).sequences
-        rows = permute(Corpus(tuple(stack), 5, "pixel"), spec).sequences
+        rows = [permute(Corpus((row,), 5, "pixel"), spec).sequences[0] for row in stack]
         assert out.shape == (4, 9) and out.dtype == np.uint8 and out.flags.c_contiguous
-        assert np.array_equal(out, np.stack(rows))
+        assert all(row.shape == (1, 9) for row in rows)
+        assert np.array_equal(out, np.concatenate(rows))
         back = permute(Corpus((out,), 5, "pixel"), spec, inverse=True)
         assert np.array_equal(back.sequences[0], stack)
         with pytest.raises(CorpusError, match="length 9 != permutation length 4"):

@@ -168,6 +168,14 @@ class TestCountPairs:
         with pytest.raises(EmptyLagError):
             decay_curve(c, LagGrid((3,)), ONE_PAIR)
 
+    def test_equal_length_entries_of_mixed_dtypes(self):
+        # uint64 and int64 entries of one length are stored as one uint8
+        # group, not promoted to float64 ids that cannot index
+        seqs = (np.array([0, 1, 1, 0], np.uint64), np.array([1, 0, 0, 1], np.int64))
+        c = Corpus(seqs, 2, "byte")
+        assert joint_dict(c, 1) == naive_pair_counts(seqs, 1)
+        assert decay_curve(c, LagGrid((1,)), ONE_PAIR).pairs.tolist() == [6]
+
     def test_lag_covered_by_longest_sequence_only(self):
         c = corpus_from_lists([[0, 1], [0, 0, 0, 1]], 2)
         assert joint_dict(c, 3) == {(0, 1): 1}
@@ -490,33 +498,54 @@ class TestDecayCurve:
         rows = Corpus(sequences=tuple(stack), alphabet_size=256, mode="pixel")
         assert_same_csv(tmp_path, decay_curve(c, grid), decay_curve(rows, grid))
 
+    @staticmethod
+    def _ranking_peak(c):
+        """_ranked_groups(c) and the tracemalloc peak of the call."""
+        with mock.patch.object(estimator, "_CHUNK", 10_000):
+            tracemalloc.start()
+            try:
+                ranked = estimator._ranked_groups(c)
+                return ranked, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
     def test_image_stack_relabelled_in_place(self):
-        # 2,000 images of 784 pixels take 1.57 MB; a second copy would take as
-        # much. The rows are concatenated into one buffer that is relabelled
-        # in place; a stack entry is the caller's, so its ranks take one array
+        # 2,000 images of 784 pixels take 1.57 MB as uint8, 12.5 MB as int64.
+        # The corpus stores rows of one length as one uint8 group; with 32
+        # levels ranking writes one rank array, never the corpus's group
         rng = np.random.default_rng(20)
         images = (rng.integers(0, 32, (2000, 784)) * 8).astype(np.uint8)
-        for sequences in (tuple(images), (images,)):
+        for sequences in (tuple(images), (images,), tuple(images.astype(np.int64))):
             c = Corpus(sequences=sequences, alphabet_size=256, mode="pixel")
-            with mock.patch.object(estimator, "_CHUNK", 10_000):
-                tracemalloc.start()
-                try:
-                    groups, symbols = estimator._ranked_groups(c)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+            (stored,) = c.sequences
+            (groups, symbols), peak = self._ranking_peak(c)
             assert peak < images.nbytes + 500_000
             assert symbols.tolist() == list(range(0, 256, 8))
             assert groups[0].dtype == np.uint8 and groups[0].tolist() == (images // 8).tolist()
-            assert not np.shares_memory(groups[0], images)
+            assert not np.shares_memory(groups[0], stored)
+            assert np.array_equal(stored, images)
+
+    def test_all_levels_rows_ranked_without_a_copy(self):
+        # a tuple of int64 rows where every level occurs: the corpus's uint8
+        # group is counted as it is, so ranking allocates no group-sized array
+        rng = np.random.default_rng(21)
+        images = rng.integers(0, 256, (2000, 784))
+        images[0, :256] = np.arange(256)
+        c = Corpus(sequences=tuple(images), alphabet_size=256, mode="pixel")
+        (groups, symbols), peak = self._ranking_peak(c)
+        assert symbols.size == 256 and peak < 500_000
+        assert len(groups) == 1 and groups[0] is c.sequences[0]
+        assert groups[0].dtype == np.uint8 and np.array_equal(groups[0], images)
 
     def test_caller_stacks_never_written(self):
         # 32 levels spaced by 8 (K' < K) in owned, writable uint8 stacks, the
-        # ranks' own dtype: the caller's stack and permute's output are
-        # relabelled into arrays of their own, and stay bit-for-bit unchanged
+        # ranks' own dtype: the corpus stores the caller's stack and permute's
+        # output uncopied, the count relabels them into arrays of its own, and
+        # they stay bit-for-bit unchanged
         rng = np.random.default_rng(23)
         stack = (rng.integers(0, 32, (300, 784)) * 8).astype(np.uint8)
         permuted = permute(Corpus((stack,), 256, "pixel"), PermutationSpec(2, 784))
+        assert Corpus((stack,), 256, "pixel").sequences[0] is stack
         for c in (Corpus((stack,), 256, "pixel"), permuted):
             (entry,) = c.sequences
             assert entry.flags.owndata and entry.flags.writeable
