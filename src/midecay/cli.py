@@ -10,6 +10,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import estimator as est
@@ -141,6 +142,7 @@ def cmd_analyze(args) -> int:
     )
     grid = est.default_lag_grid(args.max_lag)
     curve = est.decay_curve(corpus, grid, config)
+    Path(f"{args.out}.meta.json").unlink(missing_ok=True)  # no stale sidecar beside a new curve
     est.curve_to_csv(curve, args.out)
     sidecar = dict(curve.meta)
     sidecar.update(

@@ -252,10 +252,14 @@ def read_idx_images(path) -> tuple[np.ndarray, int, int]:
         raise CorpusError(
             f"{path}: payload is {payload} bytes, header declares {expected}"
         )
-    if count < 1 or rows * cols < 1:
-        raise CorpusError(f"{path}: degenerate dimensions {count}x{rows}x{cols}")
+    _check_idx_dimensions(path, count, rows, cols)
     images = np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, rows * cols)
     return images, rows, cols
+
+
+def _check_idx_dimensions(path, count: int, rows: int, cols: int) -> None:
+    if count < 1 or rows * cols < 1:
+        raise CorpusError(f"{path}: degenerate dimensions {count}x{rows}x{cols}")
 
 
 def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:
@@ -266,6 +270,7 @@ def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:
     images = np.ascontiguousarray(images, dtype=np.uint8)
     if images.ndim != 2 or images.shape[1] != rows * cols:
         raise ValueError("images must have shape (count, rows*cols)")
+    _check_idx_dimensions(path, images.shape[0], rows, cols)
     with atomic_open(path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, images.shape[0], rows, cols))
         f.write(images.tobytes())

@@ -176,9 +176,7 @@ def intercept_dilations(fit: ClassifiedFit, n_layers: int, d_max: int) -> Dilati
     """
     if n_layers < 2:
         raise ScheduleError("intercept schedules need n_layers >= 2")
-    if d_max < 1:
-        raise ScheduleError("d_max must be >= 1")
-    if n_layers > d_max:
+    if n_layers > d_max:  # also refuses every d_max below 2
         raise ScheduleError(
             f"cannot fit {n_layers} strictly increasing dilations into [1, {d_max}]"
         )
@@ -257,7 +255,8 @@ def _hybrid_standard_then_sparse(break_d: int, d_max: int) -> DilationSchedule:
 
 
 def schedule_for(fit: ClassifiedFit, n_layers: int) -> DilationSchedule:
-    """The one schedule for a fit and a layer count.
+    """The one schedule for a fit and a layer count: the schedule command
+    writes it, and build_grid offers it wherever it exists.
 
     Exponential decay gets the standard progression capped at the max
     dilation, a single layer gets [1], and every other fit the curve-fitted
@@ -281,35 +280,28 @@ def build_grid(fit: ClassifiedFit, layer_sweep) -> GridSearchSpec:
     """Candidate schedule family for a grid search over the layer counts in
     layer_sweep.
 
-    Exponential decay gets schedule_for's capped standard schedule for every
-    layer count and no curve-fitted ones. Other fits get the standard
-    schedule for every layer count, plus the curve-fitted schedule where it
-    exists, plus the two hybrid patterns for broken fits, the unit-step one
-    only up to MAX_UNIT_STEPS steps. Duplicates are dropped, keeping first
-    occurrence.
+    A grid holds three parts, in order: the standard schedule of every layer
+    count (non-exponential fits only), schedule_for's schedule of every layer
+    count for which it exists, and the two hybrid patterns for broken fits,
+    the unit-step one only up to MAX_UNIT_STEPS steps. Duplicates are
+    dropped, keeping first occurrence.
     """
     layer_sweep = tuple(layer_sweep)
-    if not layer_sweep:
-        raise ScheduleError("layer_sweep must be nonempty")
-    md = max_dilation(fit)
+    if min(layer_sweep, default=0) < 1:
+        raise ScheduleError("layer_sweep must be nonempty, every n_layers >= 1")
     schedules: list[DilationSchedule] = []
-
-    if fit.decay_class is DecayClass.EXPONENTIAL:
-        schedules.extend(schedule_for(fit, n) for n in layer_sweep)
-    else:
+    if fit.decay_class is not DecayClass.EXPONENTIAL:
         schedules.extend(standard_dilations(n) for n in layer_sweep)
-        for n in layer_sweep:
-            if n < 2 or n > md.value:
-                continue
-            try:
-                schedules.append(intercept_dilations(fit, n, md.value))
-            except ScheduleError:
-                continue  # non-decaying model: standards remain the grid
-        if fit.broken is not None:
-            if min(fit.broken.break_d, md.value) <= MAX_UNIT_STEPS:
-                schedules.append(_hybrid_dense_then_standard(fit.broken.break_d, md.value))
-            schedules.append(_hybrid_standard_then_sparse(fit.broken.break_d, md.value))
-
+    for n in layer_sweep:
+        try:
+            schedules.append(schedule_for(fit, n))
+        except ScheduleError:
+            continue  # no schedule at this layer count: the standards remain
+    if fit.broken is not None:
+        b, d_max = fit.broken.break_d, max_dilation(fit).value
+        if min(b, d_max) <= MAX_UNIT_STEPS:
+            schedules.append(_hybrid_dense_then_standard(b, d_max))
+        schedules.append(_hybrid_standard_then_sparse(b, d_max))
     unique: dict[tuple[int, ...], DilationSchedule] = {}
     for s in schedules:
         unique.setdefault(s.dilations, s)

@@ -81,6 +81,16 @@ def naive_mi_miller_madow(joint):
     return max(0.0, hx + hy - hxy)
 
 
+def markov_mi(k, stay, d):
+    """Exact MI in nats at lag d of the symmetric K-state chain of
+    markov_chain: sum over i, j of pi_i P^d_ij ln(P^d_ij / pi_j), with the
+    uniform stationary pi."""
+    p = np.full((k, k), (1 - stay) / (k - 1))
+    np.fill_diagonal(p, stay)
+    pd = np.linalg.matrix_power(p, d)
+    return float(sum(pd[i, j] / k * math.log(pd[i, j] * k) for i in range(k) for j in range(k)))
+
+
 def naive_ols(x, y):
     """Closed-form least squares, independent of the implementation."""
     n = len(x)
@@ -110,6 +120,16 @@ def pattern_corpus(pattern_ids, alphabet_size, n_symbols=40000):
     reps = n_symbols // len(pattern_ids) + 1
     arr = np.tile(np.asarray(pattern_ids, dtype=np.int64), reps)[:n_symbols]
     return corpus_from_lists([arr], alphabet_size)
+
+
+def markov_chain(k, stay, n_symbols, seed=0):
+    """A seeded symmetric K-state Markov chain: each step stays with
+    probability stay, else jumps to one of the other K-1 states uniformly.
+    Built as a cumulative sum of jumps mod K, from a uniform first state."""
+    rng = np.random.default_rng(seed)
+    jumps = np.where(rng.random(n_symbols) < stay, 0, rng.integers(1, k, n_symbols))
+    jumps[0] = rng.integers(k)
+    return corpus_from_lists([np.cumsum(jumps) % k], k)
 
 
 def make_curve(lags, mi, pairs=None, meta=None):

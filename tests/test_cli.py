@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from midecay import PermutationSpec, corpus, estimator, read_idx_images, write_idx_images
+from midecay import cli
 from midecay.cli import build_parser, main
 from tests.conftest import REPO_ROOT, synth_images
 
@@ -78,6 +79,29 @@ class TestAnalyze:
         assert meta["max_lag"] == 64
         assert meta["bias_correction"] == "none"
         assert "bias_floor_nats" in meta
+
+    def test_failed_sidecar_write_leaves_no_stale_sidecar(self, tmp_path, monkeypatch):
+        out, sidecar = tmp_path / "curve.csv", tmp_path / "curve.csv.meta.json"
+
+        def analyze(src):
+            return main(["analyze", "--input", str(src), "--mode", "byte",
+                         "--max-lag", "16", "--out", str(out)])
+
+        assert analyze(write_pattern_file(tmp_path, name="a.txt")) == 0 and sidecar.exists()
+        write_json = cli.write_json
+
+        def full_for_sidecar(doc, path):
+            if str(path) == str(sidecar):
+                raise OSError(28, "No space left on device")
+            return write_json(doc, path)
+
+        monkeypatch.setattr(cli, "write_json", full_for_sidecar)
+        assert analyze(write_pattern_file(tmp_path, pattern=b"abcb", name="b.txt")) == 2
+        # the curve is now b's: no sidecar may still describe a's
+        assert not sidecar.exists()
+        fitj = tmp_path / "f.json"
+        assert main(["fit", "--curve", str(out), "--out", str(fitj)]) == 0
+        assert json.loads(fitj.read_text())["curve_meta"] is None
 
     def test_byte_identical_reruns(self, tmp_path):
         src = write_pattern_file(tmp_path)

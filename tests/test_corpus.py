@@ -295,6 +295,16 @@ class TestIdx:
             write_idx_images(p, images, 1, 2)
         assert not p.exists()
 
+    @pytest.mark.parametrize("images, rows, cols", [
+        (np.zeros((0, 4), np.uint8), 2, 2),  # no image
+        (np.zeros((3, 0), np.uint8), 0, 5),  # empty images
+    ])
+    def test_write_rejects_sets_that_read_refuses(self, tmp_path, images, rows, cols):
+        p = tmp_path / "imgs.idx"
+        with pytest.raises(ValueError, match="degenerate dimensions"):
+            write_idx_images(p, images, rows, cols)
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_accepts_wide_ids_in_range(self, tmp_path):
         p = tmp_path / "imgs.idx"
         write_idx_images(p, np.array([[0, 255], [7, 9]], dtype=np.int64), 1, 2)

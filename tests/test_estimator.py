@@ -35,6 +35,8 @@ from tests.conftest import (
     corpus_from_lists,
     joint_dict,
     lag_mi,
+    markov_chain,
+    markov_mi,
     naive_mi,
     naive_mi_miller_madow,
     naive_pair_counts,
@@ -959,6 +961,22 @@ class TestDecayCurve:
         floors = curve.meta["bias_floor_nats"]
         assert len(floors) == 2
         assert abs(floors[0] - 9 / (2 * 4999)) < 1e-12
+
+
+class TestKnownSource:
+    def test_markov_chain_curve_follows_its_exact_mi(self):
+        # at lags 1-17, where exact MI is 0.01 nats or more, the plug-in error
+        # is 3.6% at seed 0 and at most 9.6% over seeds 0-19; further out,
+        # autocorrelated noise grows past 10%. The verdict is not checked: on
+        # default_lag_grid(1000) this chain classifies as BrokenPowerLaw with
+        # no noise crossing, though its exact MI decays exponentially and
+        # falls below 1e-5 at lag 42.
+        curve = decay_curve(markov_chain(4, 0.9, 10**6, seed=0), LagGrid(tuple(range(1, 61))),
+                            EstimatorConfig(min_pair_count=1))
+        exact = np.array([markov_mi(4, 0.9, int(d)) for d in curve.lags])
+        strong = exact >= 0.01
+        assert curve.lags[strong].tolist() == list(range(1, 18))
+        assert np.all(np.abs(curve.mi[strong] - exact[strong]) <= 0.1 * exact[strong])
 
 
 def skewed(rng, n, k, background, share):

@@ -96,6 +96,17 @@ class TestPinnedBytes:
             assert Path(file).read_bytes() == (PINNED / file).read_bytes(), file
 
     @pytest.mark.parametrize("name", sorted(CASES))
+    def test_grid_offers_every_schedule_the_schedule_command_writes(self, name, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_fit_json(CASES[name], "f.json")
+        assert main(["grid", "--fit", "f.json", "--layers", "4..6", "--out", "g.json"]) == 0
+        offered = [s["dilations"] for s in json.loads(Path("g.json").read_text())["schedules"]]
+        for n in (4, 5, 6):
+            if main(["schedule", "--fit", "f.json", "--layers", str(n), "--out", "s.json"]) == 0:
+                assert json.loads(Path("s.json").read_text())["dilations"] in offered, n
+
+    @pytest.mark.parametrize("name", sorted(CASES))
     def test_grid_max_dilation_is_derived_from_evidence(self, name, tmp_path):
         doc = json.loads((PINNED / f"{name}.grid.json").read_bytes())
         lower_bound = doc["max_dilation_is_lower_bound"]

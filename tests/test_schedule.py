@@ -25,6 +25,8 @@ from midecay.fit import (
 from midecay.schedule import (
     MAX_UNIT_STEPS,
     DilationSchedule,
+    _hybrid_dense_then_standard,
+    _hybrid_standard_then_sparse,
     grid_from_dict,
     grid_to_dict,
     read_grid_json,
@@ -73,6 +75,16 @@ def exponential_fit(crossing=780, max_lag=783):
         max_lag=max_lag,
         expo=ExponentialFit(0.01, math.log(1e-3), 0.99, (300, max_lag), 20),
         noise_crossing_d=crossing,
+    )
+
+
+def flat_periodic_fit():
+    """A periodic fit whose power law does not decay: period 28, slope 0.05."""
+    return ClassifiedFit(
+        decay_class=DecayClass.POWER_LAW_PERIODIC,
+        max_lag=783,
+        power=PowerLawFit(0.05, math.log(0.3), 0.1, (1, 783), 90),
+        periodicity=PeriodicitySignature(28, (28, 56), 0.2),
     )
 
 
@@ -226,12 +238,7 @@ class TestScheduleFor:
         )
 
     def test_flat_periodic_falls_back_to_capped_standard(self):
-        flat = ClassifiedFit(
-            decay_class=DecayClass.POWER_LAW_PERIODIC,
-            max_lag=783,
-            power=PowerLawFit(0.05, math.log(0.3), 0.1, (1, 783), 90),
-            periodicity=PeriodicitySignature(28, (28, 56), 0.2),
-        )
+        flat = flat_periodic_fit()
         assert schedule_for(flat, 6).dilations == (1, 2, 4, 8, 16, 28)
         with pytest.raises(ScheduleError):
             schedule_for(flat, 29)  # more layers than the period allows
@@ -250,6 +257,33 @@ class TestScheduleFor:
         spec = build_grid(fit, range(2, 12))
         expected = {schedule_for(fit, n).dilations for n in range(2, 12)}
         assert {s.dilations for s in spec.schedules} == expected
+
+    @pytest.mark.parametrize(
+        "fit",
+        [power_fit(crossing=100), broken_fit(), periodic_fit(), exponential_fit(crossing=300),
+         flat_periodic_fit()],
+        ids=["power", "broken", "periodic", "exponential", "periodic_flat"],
+    )
+    def test_grid_offers_it_at_every_layer_count(self, fit):
+        sweep = range(1, 40)
+        spec = build_grid(fit, sweep)
+        dilations = [s.dilations for s in spec.schedules]
+        offered = 0
+        for n in sweep:
+            try:
+                expected = schedule_for(fit, n).dilations
+            except ScheduleError:
+                continue
+            assert expected in dilations, n
+            offered += 1
+        assert offered
+        if fit.decay_class is not DecayClass.EXPONENTIAL:
+            standards = [standard_dilations(n).dilations for n in sweep]
+            assert dilations[: len(standards)] == standards
+        if fit.broken is not None:
+            b, md = fit.broken.break_d, max_dilation(fit).value
+            assert dilations[-2:] == [_hybrid_dense_then_standard(b, md).dilations,
+                                      _hybrid_standard_then_sparse(b, md).dilations]
 
 
 class TestBuildGrid:
