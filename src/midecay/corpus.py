@@ -19,6 +19,10 @@ MODES = ("byte", "char", "word", "pixel")
 # int64 index arrays, which over a whole text took about 17 bytes per byte of
 # text, and a whole text's UTF-32 copy took 4 bytes per character
 _RANK_BLOCK = 1 << 16
+# bytes per np.unique call of the byte scan: the values a piece holds are
+# deleted from the rest of its block before the next piece is sorted, so a
+# block's first piece usually finds all of them
+_BYTE_PIECE = 1 << 12
 # bytes per block of the word tokenizer, which holds one bytes object per
 # token of the block only; a block is extended to the next whitespace byte
 _WORD_BLOCK = 1 << 16
@@ -122,7 +126,7 @@ def _first_occurrence_ranks(blocks) -> tuple[np.ndarray, np.ndarray]:
     twice, to find the units and to look the ids up. Returns (ids, units)
     where units[r] is the original value with rank r and ids has the smallest
     unsigned dtype that holds every rank. Ids are looked up in a table indexed
-    by value, which byte and code point values keep small.
+    by value, which code point values keep small.
     """
     seen = np.zeros(0, dtype=bool)
     found = []
@@ -145,6 +149,27 @@ def _first_occurrence_ranks(blocks) -> tuple[np.ndarray, np.ndarray]:
         ids[pos : pos + values.size] = lut[values]
         pos += values.size
     return ids, units
+
+
+def _byte_values(blocks, stop: int = 256) -> bytes:
+    """The distinct values of the byte strings blocks yields, in first-occurrence
+    order, until stop of them are found.
+
+    bytes.translate deletes the values found so far from each block, and only
+    what is left, usually nothing, is sorted, a piece at a time.
+    """
+    found = b""
+    for block in blocks:
+        rest = block.translate(None, found) if found else block
+        while rest and len(found) < stop:
+            values, first = np.unique(np.frombuffer(rest[:_BYTE_PIECE], np.uint8),
+                                      return_index=True)
+            new = values[np.argsort(first)].tobytes()
+            found += new
+            rest = rest[_BYTE_PIECE:].translate(None, new)
+        if len(found) >= stop:
+            break
+    return found
 
 
 def _char_blocks(data: bytes):
@@ -204,10 +229,11 @@ def load_text(path, mode: str) -> Corpus:
         raise CorpusError(f"empty input file: {path}")
 
     if mode == "byte":
-        raw = np.frombuffer(data, dtype=np.uint8)
-        ids, units = _first_occurrence_ranks(
-            lambda: (raw[i : i + _RANK_BLOCK] for i in range(0, raw.size, _RANK_BLOCK)))
-        alphabet = tuple(int(u) for u in units)
+        alphabet = tuple(_byte_values(data[i : i + _RANK_BLOCK]
+                                      for i in range(0, len(data), _RANK_BLOCK)))
+        ranks = np.zeros(256, dtype=np.uint8)
+        ranks[list(alphabet)] = np.arange(len(alphabet))
+        ids = np.frombuffer(data.translate(ranks), dtype=np.uint8)
     else:
         try:
             if mode == "char":

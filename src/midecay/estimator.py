@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _byte_values
 from .jsonio import atomic_open
 
 # above this many joint cells reduce with unique instead of a dense K'*K' table
@@ -172,22 +172,34 @@ def _ranked_groups(corpus: Corpus) -> tuple[list[np.ndarray], np.ndarray]:
     rows[:, :L-d] and rows[:, d:]. When every symbol occurs the ranks are the
     ids, the corpus's own groups; else each group is relabelled chunk by
     chunk into a new array in the narrowest dtype that holds the ranks.
+    uint8 groups are scanned, until every symbol is seen, and relabelled
+    through a 256-entry byte table.
     """
     groups = list(corpus.sequences)
-    # marked through the index itself: bincount's intp copy of a chunk would
-    # stay in the process's resident set after it is freed
+    chunks = itertools.chain(*(_chunks(rows, 0, _CHUNK) for rows in groups))
+    byte = groups[0].dtype == np.uint8  # the corpus stores every group in one dtype
     seen = np.zeros(corpus.alphabet_size, dtype=bool)
-    for chunk in itertools.chain(*(_chunks(rows, 0, _CHUNK) for rows in groups)):
-        seen[chunk] = True
+    if byte:
+        found = _byte_values((chunk.tobytes() for chunk in chunks), corpus.alphabet_size)
+        seen[np.frombuffer(found, dtype=np.uint8)] = True
+    else:
+        # marked through the index itself: bincount's intp copy of a chunk
+        # would stay in the process's resident set after it is freed
+        for chunk in chunks:
+            seen[chunk] = True
     symbols = np.flatnonzero(seen)
     if symbols.size == corpus.alphabet_size:
         return groups, symbols
-    lut = np.zeros(symbols[-1] + 1, dtype=np.min_scalar_type(symbols.size - 1))
+    lut = np.zeros(256 if byte else symbols[-1] + 1, dtype=np.min_scalar_type(symbols.size - 1))
     lut[symbols] = np.arange(symbols.size)
     for n, rows in enumerate(groups):
         groups[n] = np.empty(rows.shape, dtype=lut.dtype)
         for chunk, out in zip(_chunks(rows, 0, _CHUNK), _chunks(groups[n], 0, _CHUNK)):
-            out[...] = lut[chunk]
+            if byte:
+                out[...] = np.frombuffer(chunk.tobytes().translate(lut),
+                                         dtype=np.uint8).reshape(chunk.shape)
+            else:
+                out[...] = lut[chunk]
     return groups, symbols
 
 

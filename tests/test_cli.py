@@ -404,28 +404,37 @@ class TestPipeline:
         assert [c.replace("-", "_") for c in options["bias_correction"].choices] == \
             list(estimator.BIAS_CORRECTIONS)
 
-    def test_pipeline_never_imports_numpy_ma(self, tmp_path):
-        # numpy.ma takes 13 ms to import in a fresh process; np.median and
-        # some other numpy calls import it on first use
-        rng = np.random.default_rng(0)
-        ids = rng.integers(0, 50, 20000)
-        for t in np.flatnonzero(rng.random(ids.size) < 0.8)[1:]:
-            ids[t] = ids[t - 1]  # a word repeats its predecessor: MI decays with lag
-        src = tmp_path / "words.txt"
-        src.write_text(" ".join(f"w{v}" for v in ids))
+    @pytest.mark.parametrize("mode", ["word", "byte", "pixel"])
+    def test_pipeline_never_imports_numpy_ma(self, tmp_path, mode):
+        # numpy.ma takes 13 ms to import in a fresh process; np.median, a bare
+        # np.unique and some other numpy calls import it on first use. Byte
+        # and pixel ids are uint8 and ranked through the byte table, word ids
+        # through the index of a wider table
+        if mode == "pixel":
+            src = write_idx(tmp_path)
+        else:
+            rng = np.random.default_rng(0)
+            ids = rng.integers(0, 50, 20000)
+            for t in np.flatnonzero(rng.random(ids.size) < 0.8)[1:]:
+                ids[t] = ids[t - 1]  # a symbol repeats its predecessor: MI decays with lag
+            src = tmp_path / "symbols.txt"  # one word or one byte per symbol
+            src.write_bytes(" ".join(f"w{v}" for v in ids).encode() if mode == "word"
+                            else (ids + 65).astype(np.uint8).tobytes())
         script = f"""
 import sys
 from midecay.cli import main
+imported = set(sys.modules)
 d = {str(tmp_path)!r}
 for argv in (
-    ["analyze", "--input", d + "/words.txt", "--mode", "word", "--max-lag", "100",
+    ["analyze", "--input", {str(src)!r}, "--mode", {mode!r}, "--max-lag", "100",
      "--out", d + "/c.csv"],
     ["fit", "--curve", d + "/c.csv", "--out", d + "/f.json"],
     ["schedule", "--fit", d + "/f.json", "--layers", "6", "--out", d + "/s.json"],
     ["grid", "--fit", d + "/f.json", "--layers", "4..8", "--out", d + "/g.json"],
 ):
     assert main(argv) == 0, argv
-assert "numpy.ma" not in sys.modules
+late = sorted(m for m in set(sys.modules) - imported if m.split(".")[0] == "numpy")
+assert not late, late
 """
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,

@@ -132,8 +132,8 @@ class TestLoadText:
         min_size=1, max_size=100).map(lambda t: t.encode("utf-8")))
     def test_ids_are_first_occurrence_ranks(self, tmp_path_factory, data):
         # 7-unit rank blocks (7-byte decode blocks in char mode, extended to
-        # a character boundary) and 3-byte word blocks make most inputs cross
-        # block boundaries
+        # a character boundary), 3-byte pieces of the byte scan and 3-byte
+        # word blocks make most inputs cross block boundaries
         p = write_bytes(tmp_path_factory.mktemp("ranks"), "t.txt", data)
         units = {"byte": list(data)}
         try:
@@ -144,7 +144,7 @@ class TestLoadText:
             units["char"] = list(text)
             spaced = "".join(" " if u in ASCII_WS else u for u in text)
             units["word"] = [w for w in spaced.split(" ") if w]
-        with mock.patch.multiple(corpus_module, _RANK_BLOCK=7, _WORD_BLOCK=3):
+        with mock.patch.multiple(corpus_module, _RANK_BLOCK=7, _BYTE_PIECE=3, _WORD_BLOCK=3):
             for mode, seq in units.items():
                 if not seq:
                     with pytest.raises(CorpusError, match="no words"):
@@ -156,6 +156,23 @@ class TestLoadText:
                 assert c.sequences[0].tolist() == [expected]
                 assert c.sequences[0].dtype == np.min_scalar_type(len(table) - 1)
                 assert c.alphabet == tuple(table)
+
+    def test_byte_mode_holds_the_file_and_its_ids_only(self, tmp_path):
+        # a 1 MB text of 61 byte values, one of them first seen in the last
+        # block, so every block is scanned: the file and its translated ids
+        # take 2 MB, and a block's temporaries 64 KB each
+        data = np.random.default_rng(0).integers(32, 92, 1 << 20).astype(np.uint8)
+        data[-10] = 200
+        p = write_bytes(tmp_path, "t.txt", data.tobytes())
+        tracemalloc.start()
+        try:
+            c = load_text(p, "byte")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.n_symbols == data.size and c.alphabet_size == 61
+        assert c.alphabet[-1] == 200
+        assert peak < 2.5 * data.size
 
     def test_char_mode_holds_no_copy_of_the_whole_text(self, tmp_path):
         # 500k characters of 1 to 4 bytes: the file (640 KB) and the uint8 ids

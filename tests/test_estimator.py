@@ -557,6 +557,54 @@ class TestDecayCurve:
                     decay_curve(c, default_lag_grid(100))
             assert np.array_equal(entry, before)
 
+    @pytest.mark.parametrize("every_level", [True, False])
+    def test_uint8_groups_ranked_across_length_groups(self, every_level):
+        # three read-only uint8 groups, K = 256, scanned in 500-symbol chunks:
+        # each group holds every level but one from its first chunk on, and
+        # that one occurs only at the end of the last group. The scan stops at
+        # K symbols found over all groups, so a count restarted per group
+        # (255 + 255, or 127 * 3 over even levels) would stop before it
+        levels = np.arange(256) if every_level else np.arange(0, 256, 2)
+        late, others = levels[5], np.delete(levels, 5)
+        rng = np.random.default_rng(24)
+        entries = []
+        for shape in ((30, 40), (20, 70), (10, 300)):
+            ids = rng.choice(others, shape).astype(np.uint8)
+            ids.flat[: others.size] = others
+            entries.append(ids)
+        entries[-1][-1, -1] = late
+        before = [e.copy() for e in entries]
+        for e in entries:
+            e.flags.writeable = False
+        c = Corpus(sequences=tuple(entries), alphabet_size=256, mode="pixel")
+        with mock.patch.object(estimator, "_CHUNK", 500):
+            groups, symbols = estimator._ranked_groups(c)
+        assert symbols.tolist() == levels.tolist()
+        assert len(groups) == 3
+        for rows, entry, stored in zip(groups, before, c.sequences):
+            assert np.array_equal(rows, np.searchsorted(symbols, entry))
+            assert (rows is stored) == every_level
+        assert all(np.array_equal(e, b) for e, b in zip(c.sequences, before))
+
+    @pytest.mark.parametrize("every_level", [True, False])
+    def test_strided_uint8_entry_ranked_without_a_group_copy(self, every_level):
+        # every other column of 2,000 x 1,568 pixels: the corpus stores the
+        # strided view, and the scan (which alone runs when every level
+        # occurs) and the relabel copy one chunk at a time
+        rng = np.random.default_rng(25)
+        levels = 256 if every_level else 32
+        images = (rng.integers(0, levels, (2000, 1568)) * (256 // levels)).astype(np.uint8)
+        images[0, : 2 * levels : 2] = np.arange(0, 256, 256 // levels)
+        strided = images[:, ::2]
+        c = Corpus(sequences=(strided,), alphabet_size=256, mode="pixel")
+        assert np.shares_memory(c.sequences[0], images)
+        assert not c.sequences[0].flags.c_contiguous
+        (groups, symbols), peak = self._ranking_peak(c)
+        assert symbols.size == levels
+        assert np.array_equal(groups[0], strided // (256 // levels))
+        ranks = 0 if every_level else strided.size  # the new rank array
+        assert peak < ranks + 500_000
+
     def test_wide_alphabet_codes_match_oracle(self):
         # K' = 65,537 ranks take uint32 and their pair codes no longer fit in
         # it; small sparse chunks make every lag merge several chunks' cells
