@@ -14,18 +14,16 @@ IDX_IMAGE_MAGIC = 0x00000803
 
 MODES = ("byte", "char", "word", "pixel")
 
-# units per block of the first-occurrence scan, and bytes per block that char
-# mode decodes (extended to the next character boundary): np.unique sorts with
-# int64 index arrays, which over a whole text took about 17 bytes per byte of
-# text, and a whole text's UTF-32 copy took 4 bytes per character
-_RANK_BLOCK = 1 << 16
+# bytes per block of text loading, exact in byte mode and extended to the next
+# character or token boundary in char and word mode: one block's decoded
+# text, code points and tokens are held at a time, never the whole text's
+_BLOCK = 1 << 16
 # bytes per np.unique call of the byte scan: the values a piece holds are
 # deleted from the rest of its block before the next piece is sorted, so a
 # block's first piece usually finds all of them
 _BYTE_PIECE = 1 << 12
-# bytes per block of the word tokenizer, which holds one bytes object per
-# token of the block only; a block is extended to the next whitespace byte
-_WORD_BLOCK = 1 << 16
+# a byte that starts a UTF-8 character: any byte but a continuation byte
+_CHAR_START = re.compile(rb"[^\x80-\xbf]")
 # in a bytes pattern \s is the six ASCII whitespace bytes bytes.split() splits on
 _WHITESPACE = re.compile(rb"\s")
 
@@ -105,6 +103,8 @@ class Corpus:
             else np.concatenate(g, dtype=dtype, casting="unsafe") for g in by_length.values()))
         if self.alphabet is not None:
             object.__setattr__(self, "alphabet", tuple(self.alphabet))
+            if len(self.alphabet) != self.alphabet_size:
+                raise ValueError("alphabet must name exactly alphabet_size units")
 
     @property
     def max_length(self) -> int:
@@ -117,38 +117,6 @@ class Corpus:
     @property
     def n_sequences(self) -> int:
         return sum(rows.shape[0] for rows in self.sequences)
-
-
-def _first_occurrence_ranks(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Encode integer values by first-occurrence rank.
-
-    blocks() yields the values as consecutive nonempty blocks; it is called
-    twice, to find the units and to look the ids up. Returns (ids, units)
-    where units[r] is the original value with rank r and ids has the smallest
-    unsigned dtype that holds every rank. Ids are looked up in a table indexed
-    by value, which code point values keep small.
-    """
-    seen = np.zeros(0, dtype=bool)
-    found = []
-    n = 0
-    for values in blocks():
-        n += values.size
-        top = int(values.max()) + 1
-        if top > seen.size:
-            seen = np.concatenate([seen, np.zeros(top - seen.size, dtype=bool)])
-        distinct, first = np.unique(values, return_index=True)
-        new = ~seen[distinct]
-        seen[distinct] = True
-        found.append(distinct[new][np.argsort(first[new])])
-    units = np.concatenate(found)
-    lut = np.empty(seen.size, dtype=np.min_scalar_type(units.size - 1))
-    lut[units] = np.arange(units.size)
-    ids = np.empty(n, dtype=lut.dtype)
-    pos = 0
-    for values in blocks():
-        ids[pos : pos + values.size] = lut[values]
-        pos += values.size
-    return ids, units
 
 
 def _byte_values(blocks, stop: int = 256) -> bytes:
@@ -172,22 +140,40 @@ def _byte_values(blocks, stop: int = 256) -> bytes:
     return found
 
 
-def _char_blocks(data: bytes):
-    """The code points of UTF-8 data, as uint32 blocks of about _RANK_BLOCK
-    bytes that each end on a character boundary, so no copy of the whole
-    text is decoded."""
+def _blocks(data: bytes, boundary: re.Pattern):
+    """Consecutive slices of data of about _BLOCK bytes, each extended to the
+    next byte where boundary matches."""
     pos = 0
     while pos < len(data):
-        end = min(pos + _RANK_BLOCK, len(data))
-        while end < len(data) and data[end] & 0xC0 == 0x80:  # a continuation byte
-            end += 1
-        try:
-            chars = data[pos:end].decode("utf-8")
-        except UnicodeDecodeError:
-            data.decode("utf-8")  # raises the error at its position in the file
-            raise
-        yield np.frombuffer(chars.encode("utf-32-le"), dtype=np.uint32)
+        m = boundary.search(data, pos + _BLOCK)
+        end = m.start() if m else len(data)
+        yield data[pos:end]
         pos = end
+
+
+def _char_ids(data: bytes) -> tuple[np.ndarray, tuple[str, ...]]:
+    """First-occurrence ranks of the characters of UTF-8 data, in the
+    narrowest unsigned dtype, and the distinct characters in rank order.
+
+    Each block is decoded twice, so no decoded copy of the whole text is
+    held: once to find its new characters, marked in a table indexed by code
+    point, and once to look its ids up in a table of ranks indexed the same way.
+    """
+    units: dict[str, None] = {}
+    seen = np.zeros(0, dtype=bool)
+    for block in _blocks(data, _CHAR_START):
+        points = np.frombuffer(block.decode("utf-8").encode("utf-32-le"), dtype=np.uint32)
+        if points.max() >= seen.size:
+            seen = np.concatenate([seen, np.zeros(points.max() + 1 - seen.size, dtype=bool)])
+        new = points[~seen[points]]  # the block's first occurrences, with repeats
+        seen[new] = True
+        units.update(dict.fromkeys(new.tobytes().decode("utf-32-le")))
+    alphabet = tuple(units)
+    lut = np.zeros(seen.size, dtype=np.min_scalar_type(len(alphabet) - 1))
+    lut[[ord(u) for u in alphabet]] = np.arange(len(alphabet))
+    return np.concatenate([
+        lut[np.frombuffer(block.decode("utf-8").encode("utf-32-le"), dtype=np.uint32)]
+        for block in _blocks(data, _CHAR_START)]), alphabet
 
 
 def _word_ids(data: bytes) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -195,23 +181,15 @@ def _word_ids(data: bytes) -> tuple[np.ndarray, tuple[str, ...]]:
     data, as uint32, and the distinct tokens decoded in rank order."""
     table: dict[bytes, int] = {}
     blocks = []
-    pos = 0
-    while pos < len(data):
-        m = _WHITESPACE.search(data, pos + _WORD_BLOCK)
-        end = m.start() if m else len(data)
-        words = data[pos:end].split()
+    for block in _blocks(data, _WHITESPACE):
+        words = block.split()
         blocks.append(np.fromiter((table.setdefault(w, len(table)) for w in words),
                                   dtype=np.uint32, count=len(words)))
-        pos = end
     ids, units = np.concatenate(blocks), list(table)
     del blocks, table  # free the block ids and the dict before decoding
     # every non-whitespace byte lies in a token, so decoding the distinct
     # tokens validates the file without a decoded copy of all of it
-    try:
-        return ids, tuple(u.decode("utf-8") for u in units)
-    except UnicodeDecodeError:
-        data.decode("utf-8")  # raises the error at its position in the file
-        raise
+    return ids, tuple(u.decode("utf-8") for u in units)
 
 
 def load_text(path, mode: str) -> Corpus:
@@ -229,24 +207,25 @@ def load_text(path, mode: str) -> Corpus:
         raise CorpusError(f"empty input file: {path}")
 
     if mode == "byte":
-        alphabet = tuple(_byte_values(data[i : i + _RANK_BLOCK]
-                                      for i in range(0, len(data), _RANK_BLOCK)))
+        alphabet = tuple(_byte_values(data[i : i + _BLOCK] for i in range(0, len(data), _BLOCK)))
         ranks = np.zeros(256, dtype=np.uint8)
         ranks[list(alphabet)] = np.arange(len(alphabet))
         ids = np.frombuffer(data.translate(ranks), dtype=np.uint8)
     else:
         try:
-            if mode == "char":
-                ids, units = _first_occurrence_ranks(lambda: _char_blocks(data))
-                alphabet = tuple(chr(int(u)) for u in units)
-            else:
-                # no multibyte UTF-8 sequence contains an ASCII whitespace byte;
-                # no case folding
-                ids, alphabet = _word_ids(data)
-                if not alphabet:
-                    raise CorpusError(f"no words in input file: {path}")
+            # word mode: no multibyte UTF-8 sequence contains an ASCII
+            # whitespace byte; no case folding
+            ids, alphabet = (_char_ids if mode == "char" else _word_ids)(data)
         except UnicodeDecodeError as exc:
+            # a block's or a token's error gives its offset in that block or
+            # token: decoding the whole file gives its position in the file
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
             raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
+        if not alphabet:  # word mode only: a file of whitespace
+            raise CorpusError(f"no words in input file: {path}")
 
     return Corpus(
         sequences=(ids,),

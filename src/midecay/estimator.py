@@ -90,6 +90,8 @@ class LagGrid:
 
     def __post_init__(self):
         lags = tuple(int(d) for d in self.lags)
+        if any(d != v for d, v in zip(self.lags, lags)):
+            raise ValueError("lags must be whole numbers")
         if not lags:
             raise ValueError("lag grid must be nonempty")
         if lags[0] < 1:
@@ -116,6 +118,8 @@ class DecayCurve:
             values = np.asarray(getattr(self, name), dtype=np.float64)
             if np.any((values < low) | (values >= 2.0**63)):
                 raise ValueError(f"curve {name} must lie in [{low}, 2**63)")
+            if np.any(values != np.trunc(values)):
+                raise ValueError(f"curve {name} must be whole numbers")
         self.lags = np.asarray(self.lags, dtype=np.int64)
         self.mi = np.asarray(self.mi, dtype=np.float64)
         self.pairs = np.asarray(self.pairs, dtype=np.int64)

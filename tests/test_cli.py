@@ -404,12 +404,13 @@ class TestPipeline:
         assert [c.replace("-", "_") for c in options["bias_correction"].choices] == \
             list(estimator.BIAS_CORRECTIONS)
 
-    @pytest.mark.parametrize("mode", ["word", "byte", "pixel"])
+    @pytest.mark.parametrize("mode", ["word", "byte", "char", "pixel"])
     def test_pipeline_never_imports_numpy_ma(self, tmp_path, mode):
         # numpy.ma takes 13 ms to import in a fresh process; np.median, a bare
-        # np.unique and some other numpy calls import it on first use. Byte
-        # and pixel ids are uint8 and ranked through the byte table, word ids
-        # through the index of a wider table
+        # np.unique and some other numpy calls import it on first use. Byte,
+        # char and pixel ids are uint8 and ranked through the byte table, word
+        # ids through the index of a wider table; char mode loads through
+        # code point tables, and reads the byte branch's ASCII letters
         if mode == "pixel":
             src = write_idx(tmp_path)
         else:

@@ -68,7 +68,7 @@ class TestLoadText:
     def test_char_mode_error_gives_the_position_in_the_file(self, tmp_path):
         # the 7-byte block ends on the truncated character
         p = write_bytes(tmp_path, "t.bin", b"abcdefghi\xe3b")
-        with mock.patch.object(corpus_module, "_RANK_BLOCK", 7), \
+        with mock.patch.object(corpus_module, "_BLOCK", 7), \
                 pytest.raises(CorpusError, match="position 9: invalid continuation byte"):
             load_text(p, "char")
 
@@ -131,9 +131,9 @@ class TestLoadText:
         | st.characters(exclude_categories=("Cs",)),
         min_size=1, max_size=100).map(lambda t: t.encode("utf-8")))
     def test_ids_are_first_occurrence_ranks(self, tmp_path_factory, data):
-        # 7-unit rank blocks (7-byte decode blocks in char mode, extended to
-        # a character boundary), 3-byte pieces of the byte scan and 3-byte
-        # word blocks make most inputs cross block boundaries
+        # 3-byte blocks (extended to a character or token boundary in char
+        # and word mode) and 3-byte pieces of the byte scan make most inputs
+        # cross block boundaries
         p = write_bytes(tmp_path_factory.mktemp("ranks"), "t.txt", data)
         units = {"byte": list(data)}
         try:
@@ -144,7 +144,7 @@ class TestLoadText:
             units["char"] = list(text)
             spaced = "".join(" " if u in ASCII_WS else u for u in text)
             units["word"] = [w for w in spaced.split(" ") if w]
-        with mock.patch.multiple(corpus_module, _RANK_BLOCK=7, _BYTE_PIECE=3, _WORD_BLOCK=3):
+        with mock.patch.multiple(corpus_module, _BLOCK=3, _BYTE_PIECE=3):
             for mode, seq in units.items():
                 if not seq:
                     with pytest.raises(CorpusError, match="no words"):
@@ -176,8 +176,10 @@ class TestLoadText:
 
     def test_char_mode_holds_no_copy_of_the_whole_text(self, tmp_path):
         # 500k characters of 1 to 4 bytes: the file (640 KB) and the uint8 ids
-        # take 1.1 MB, and ranking one block of 64k characters about 1.1 MB;
-        # the whole text decoded takes 2 MB, and its UTF-32 copy 2 MB more
+        # take 1.1 MB, the ids of the blocks before they are joined 0.5 MB,
+        # and one block of 64 KB decoded, its UTF-32 copy and its code points'
+        # lookups up to 0.6 MB; the whole text decoded takes 2 MB, and its
+        # UTF-32 copy 2 MB more
         rng = np.random.default_rng(0)
         chars = rng.choice(list("abcdefghij klmnopqrstuvwxyz\u00e9\u00df\u4e2d\u6587\U0001f600"),
                            500_000)
@@ -369,6 +371,11 @@ class TestCorpusInvariants:
         seqs = (np.zeros(4, dtype=np.uint8), np.array(ids, dtype=dtype))
         with pytest.raises(ValueError, match="alphabet_size"):
             Corpus(sequences=seqs, alphabet_size=k, mode="word")
+
+    @pytest.mark.parametrize("alphabet", [("a", "b"), ("a", "b", "c", "d")])
+    def test_alphabet_of_another_size_rejected(self, alphabet):
+        with pytest.raises(ValueError, match="alphabet_size"):
+            Corpus((np.array([0, 1, 2]),), 3, "char", alphabet=alphabet)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):

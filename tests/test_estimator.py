@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from midecay import (
     Corpus,
+    DecayCurve,
     EmptyLagError,
     EstimationError,
     EstimatorConfig,
@@ -1320,6 +1321,21 @@ class TestLagGrid:
             LagGrid((1, 1))
         with pytest.raises(ValueError):
             default_lag_grid(0)
+        # a lag that is not a whole number is refused, not truncated
+        for lags in ((1.5, 2.9, 7.99), (1, 2.5), (np.float64(3.25),)):
+            with pytest.raises(ValueError, match="whole numbers"):
+                LagGrid(lags)
+        assert LagGrid((1.0, np.float64(3.0), np.int64(7))).lags == (1, 3, 7)
+
+    @pytest.mark.parametrize("lags, pairs, name", [
+        ([1.5, 2.7, 3.2], [1000, 999, 998], "lags"),
+        ([1, 2, 3], [1000.9, 999.5, 998], "pairs"),
+    ])
+    def test_curve_refuses_fractional_lags_and_pair_counts(self, lags, pairs, name):
+        with pytest.raises(ValueError, match=f"curve {name} must be whole numbers"):
+            DecayCurve(lags=lags, mi=[0.3, 0.2, 0.1], pairs=pairs)
+        curve = DecayCurve(lags=[1.0, 2.0, 3.0], mi=[0.3, 0.2, 0.1], pairs=[1000.0, 999, 998])
+        assert curve.lags.tolist() == [1, 2, 3] and curve.pairs.tolist() == [1000, 999, 998]
 
 
 class TestCurveCsv:
