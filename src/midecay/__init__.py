@@ -8,7 +8,6 @@ grid-search specs for dilated recurrent networks from the classified fit.
 from .corpus import (
     Corpus,
     CorpusError,
-    PermutationSpec,
     load_idx_images,
     load_text,
     permute,

@@ -123,14 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_corpus(path, mode):
-    if mode == "pixel":
-        return corpus_mod.load_idx_images(path)
-    return corpus_mod.load_text(path, mode)
-
-
 def cmd_analyze(args) -> int:
-    corpus = _load_corpus(args.input, args.mode)
+    if args.mode == "pixel":
+        corpus = corpus_mod.load_idx_images(args.input)
+    else:
+        corpus = corpus_mod.load_text(args.input, args.mode)
     if args.max_lag >= corpus.max_length:
         raise est.EstimationError(
             f"max lag {args.max_lag} must be below the longest sequence "
@@ -206,8 +203,7 @@ def cmd_grid(args) -> int:
 
 def cmd_permute(args) -> int:
     images, rows, cols = corpus_mod.read_idx_images(args.input)
-    spec = corpus_mod.PermutationSpec(seed=args.seed, length=rows * cols)
-    corpus = corpus_mod.permute(corpus_mod.Corpus((images,), 256, "pixel"), spec, args.inverse)
+    corpus = corpus_mod.permute(corpus_mod.Corpus((images,), 256, "pixel"), args.seed, args.inverse)
     corpus_mod.write_idx_images(args.out, corpus.sequences[0], rows, cols)
     print(f"wrote {images.shape[0]} permuted images to {args.out}")
     return EXIT_OK

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,31 +30,6 @@ _WHITESPACE = re.compile(rb"\s")
 
 class CorpusError(ValueError):
     """Input cannot be turned into a valid corpus."""
-
-
-@dataclass(frozen=True)
-class PermutationSpec:
-    """A fixed position permutation, reproducible from (seed, length).
-
-    The permutation is numpy's Fisher-Yates shuffle seeded via
-    ``default_rng(seed)``; golden tests pin the generator choice.
-    """
-
-    seed: int
-    length: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("permutation length must be >= 1")
-        if self.seed < 0:
-            raise ValueError("permutation seed must be non-negative")
-
-    def permutation(self) -> np.ndarray:
-        """Position map p: output position i takes input position p[i]."""
-        return np.random.default_rng(self.seed).permutation(self.length)
-
-    def inverse_permutation(self) -> np.ndarray:
-        return np.argsort(self.permutation())
 
 
 @dataclass(frozen=True)
@@ -156,13 +131,16 @@ def _char_ids(data: bytes) -> tuple[np.ndarray, tuple[str, ...]]:
     narrowest unsigned dtype, and the distinct characters in rank order.
 
     Each block is decoded twice, so no decoded copy of the whole text is
-    held: once to find its new characters, marked in a table indexed by code
-    point, and once to look its ids up in a table of ranks indexed the same way.
+    held: once to count its characters and find its new ones, marked in a
+    table indexed by code point, and once to look its ids up, into one array
+    of the counted length, in a table of ranks indexed the same way.
     """
     units: dict[str, None] = {}
     seen = np.zeros(0, dtype=bool)
+    n = 0
     for block in _blocks(data, _CHAR_START):
         points = np.frombuffer(block.decode("utf-8").encode("utf-32-le"), dtype=np.uint32)
+        n += points.size
         if points.max() >= seen.size:
             seen = np.concatenate([seen, np.zeros(points.max() + 1 - seen.size, dtype=bool)])
         new = points[~seen[points]]  # the block's first occurrences, with repeats
@@ -171,9 +149,14 @@ def _char_ids(data: bytes) -> tuple[np.ndarray, tuple[str, ...]]:
     alphabet = tuple(units)
     lut = np.zeros(seen.size, dtype=np.min_scalar_type(len(alphabet) - 1))
     lut[[ord(u) for u in alphabet]] = np.arange(len(alphabet))
-    return np.concatenate([
-        lut[np.frombuffer(block.decode("utf-8").encode("utf-32-le"), dtype=np.uint32)]
-        for block in _blocks(data, _CHAR_START)]), alphabet
+    ids = np.empty(n, lut.dtype)
+    n = 0
+    for block in _blocks(data, _CHAR_START):
+        points = np.frombuffer(block.decode("utf-8").encode("utf-32-le"), dtype=np.uint32)
+        # every point indexes lut, so "clip" clips nothing; "raise" would buffer
+        np.take(lut, points, out=ids[n : n + points.size], mode="clip")
+        n += points.size
+    return ids, alphabet
 
 
 def _word_ids(data: bytes) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -288,22 +271,20 @@ def load_idx_images(path) -> Corpus:
     return Corpus(sequences=(images,), alphabet_size=256, mode="pixel", source_meta=meta)
 
 
-def permute(corpus: Corpus, spec: PermutationSpec, inverse: bool = False) -> Corpus:
-    """Apply the same fixed position permutation to every sequence, one np.take per group.
+def permute(corpus: Corpus, seed: int, inverse: bool = False) -> Corpus:
+    """Apply one fixed permutation of the row positions to every row, in one np.take.
 
-    With inverse=True the inverse permutation is applied, so permuting with a
-    spec and then again with inverse=True restores the original corpus.
+    The permutation is numpy's Fisher-Yates shuffle of the row length L,
+    ``default_rng(seed).permutation(L)``: output position i takes input
+    position p[i]. With inverse=True its inverse, the argsort of p, is
+    applied, so permuting with a seed and then again with inverse=True
+    restores the original corpus. A corpus of more than one row length raises
+    CorpusError: no single position permutation fits it.
     """
-    for rows in corpus.sequences:
-        if rows.shape[1] != spec.length:
-            raise CorpusError(f"sequence length {rows.shape[1]} != permutation length {spec.length}")
-    p = spec.inverse_permutation() if inverse else spec.permutation()
-    sequences = tuple(np.take(rows, p, axis=1) for rows in corpus.sequences)
-    note = f";permuted(seed={spec.seed}, inverse={inverse})"
-    return Corpus(
-        sequences=sequences,
-        alphabet_size=corpus.alphabet_size,
-        mode=corpus.mode,
-        source_meta=corpus.source_meta + note,
-        alphabet=corpus.alphabet,
-    )
+    if len(corpus.sequences) > 1:
+        lengths = ", ".join(str(rows.shape[1]) for rows in corpus.sequences)
+        raise CorpusError(f"rows of lengths {lengths}: a position permutation needs one length")
+    (rows,) = corpus.sequences
+    p = np.random.default_rng(seed).permutation(rows.shape[1])
+    return replace(corpus, sequences=(np.take(rows, np.argsort(p) if inverse else p, axis=1),),
+                   source_meta=f"{corpus.source_meta};permuted(seed={seed}, inverse={inverse})")

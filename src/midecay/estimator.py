@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, _byte_values
-from .jsonio import atomic_open
+from .jsonio import atomic_open, to_dict
 
 # above this many joint cells reduce with unique instead of a dense K'*K' table
 # (K' counts the symbols that occur):
@@ -557,8 +557,7 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
     meta = {
         "estimator": "plug-in",
         "units": "nats",
-        "bias_correction": config.bias_correction,
-        "min_pair_count": config.min_pair_count,
+        **to_dict(config),
         "alphabet_size": corpus.alphabet_size,
         "mode": corpus.mode,
         "source_meta": corpus.source_meta,

@@ -425,11 +425,8 @@ def classify(curve: DecayCurve, threshold: float = DEFAULT_NOISE_THRESHOLD) -> C
     d_range = (onset, d_hi)
 
     power = fit_power_law(curve, d_range)
-    try:
-        expo = fit_exponential(curve, d_range)
-    except FitError:
-        expo = None
-    if expo is not None and expo.decaying and expo.r2 - power.r2 >= EXP_R2_MARGIN:
+    expo = fit_exponential(curve, d_range)
+    if expo.decaying and expo.r2 - power.r2 >= EXP_R2_MARGIN:
         return ClassifiedFit(DecayClass.EXPONENTIAL, expo=expo, **common)
 
     try:
@@ -444,7 +441,7 @@ def classify(curve: DecayCurve, threshold: float = DEFAULT_NOISE_THRESHOLD) -> C
     ):
         if abs(broken.left.slope) > abs(broken.right.slope):
             return ClassifiedFit(DecayClass.BROKEN_POWER_LAW, broken=broken, **common)
-        if expo is not None and expo.decaying and expo.r2 >= power.r2:
+        if expo.decaying and expo.r2 >= power.r2:
             return ClassifiedFit(DecayClass.EXPONENTIAL, expo=expo, **common)
 
     return ClassifiedFit(DecayClass.POWER_LAW, power=power, **common)

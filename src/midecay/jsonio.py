@@ -93,8 +93,9 @@ def atomic_open(path, mode: str = "w", **kwargs):
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-        if isinstance(exc, OSError) and (exc.filename, exc.filename2) == (tmp, None):
-            exc.filename = os.fspath(path)  # the open failed: name the path asked for
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # the open or the replace failed: name the path asked for, not tmp
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

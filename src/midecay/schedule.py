@@ -132,10 +132,7 @@ def _solve(segments: list[tuple[float, float, float, float]], level: float) -> f
     joint lag itself.
     """
     for i, (d_lo, d_hi, slope, intercept) in enumerate(segments):
-        top = intercept + slope * math.log(d_lo)
         bottom = intercept + slope * math.log(d_hi)
-        if level > top and i == 0:
-            return d_lo
         if level >= bottom:
             d = math.exp((level - intercept) / slope)
             return min(max(d, d_lo), d_hi)

@@ -15,7 +15,6 @@ import pytest
 from midecay import (
     Corpus,
     EstimatorConfig,
-    PermutationSpec,
     build_grid,
     classify,
     decay_curve,
@@ -170,7 +169,7 @@ class TestCriterion3MnistPeriodicity:
         assert sig is not None and sig.period == 28
         mi1 = float(curve.mi[0])
         for seed in (1, 2, 3):
-            permuted = permute(corpus, PermutationSpec(seed, 784))
+            permuted = permute(corpus, seed)
             assert lag_mi(permuted, 1) < mi1
         report(3, "structural twin: period 28 and permutation lowers MI(1)")
 
@@ -183,7 +182,7 @@ class TestCriterion3MnistPeriodicity:
         assert sig is not None and sig.period == 28
         mi1 = float(curve.mi[0])
         for seed in (1, 2, 3):
-            permuted = permute(corpus, PermutationSpec(seed, 784))
+            permuted = permute(corpus, seed)
             assert lag_mi(permuted, 1) < mi1
         elapsed = time.monotonic() - start
         assert elapsed < 300, f"full-file analysis took {elapsed:.0f}s"
@@ -196,7 +195,7 @@ class TestCriterion4PermutedMnistSpan:
     def test_structural_twin_low_confidence_flag(self):
         # at twin scale the plug-in bias floor dwarfs the 1e-5 threshold, so
         # the crossing must carry the low-confidence flag
-        corpus = permute(image_corpus(2000, seed=0), PermutationSpec(1, 784))
+        corpus = permute(image_corpus(2000, seed=0), 1)
         curve = decay_curve(corpus, default_lag_grid(783), self.CONFIG)
         assert any(f > 1e-5 for f in curve.meta["bias_floor_nats"])
         assert crossing_low_confidence(curve, 1e-5)
@@ -204,7 +203,7 @@ class TestCriterion4PermutedMnistSpan:
 
     def test_real_permuted_mnist(self):
         path = require_dataset("MIDECAY_MNIST_IDX", "train-images-idx3-ubyte")
-        corpus = permute(load_idx_images(path), PermutationSpec(1, 784))
+        corpus = permute(load_idx_images(path), 1)
         curve = decay_curve(corpus, default_lag_grid(783), self.CONFIG)
         crossing = noise_crossing(curve, 1e-5)
         if crossing_low_confidence(curve, 1e-5):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from midecay import PermutationSpec, corpus, estimator, read_idx_images, write_idx_images
+from midecay import corpus, estimator, noise_crossing, read_idx_images, write_idx_images
 from midecay import cli
 from midecay.cli import build_parser, main
 from tests.conftest import REPO_ROOT, synth_images
@@ -24,10 +24,33 @@ def write_pattern_file(tmp_path, pattern=b"aab", reps=12000, name="seq.txt"):
     return p
 
 
+def write_power_curve(tmp_path, name="curve.csv"):
+    """A curve CSV of MI 2 d^-2.2 at 60 lags from 1 to 400."""
+    p = tmp_path / name
+    lags = np.unique(np.round(np.logspace(0, np.log10(400), 60)).astype(int))
+    rows = [f"{d},{(2.0 * d ** -2.2):.17g},100000" for d in lags]
+    p.write_text("lag,mi_nats,pair_count\n" + "\n".join(rows) + "\n")
+    return p
+
+
 def write_idx(tmp_path, n_images=400, seed=0, name="imgs.idx"):
     p = tmp_path / name
     write_idx_images(p, synth_images(n_images, seed=seed), 28, 28)
     return p
+
+
+def command_args(tmp_path, command):
+    """The arguments but --out of a run of command that succeeds."""
+    curve, fitj = write_power_curve(tmp_path), tmp_path / "fit.json"
+    assert main(["fit", "--curve", str(curve), "--out", str(fitj)]) == 0
+    return {
+        "analyze": ["--input", str(write_pattern_file(tmp_path)), "--mode", "byte",
+                    "--max-lag", "8"],
+        "fit": ["--curve", str(curve)],
+        "schedule": ["--fit", str(fitj), "--layers", "9"],
+        "grid": ["--fit", str(fitj), "--layers", "2..4"],
+        "permute": ["--input", str(write_idx(tmp_path, n_images=20)), "--seed", "1"],
+    }[command]
 
 
 class TestAnalyze:
@@ -102,6 +125,21 @@ class TestAnalyze:
         fitj = tmp_path / "f.json"
         assert main(["fit", "--curve", str(out), "--out", str(fitj)]) == 0
         assert json.loads(fitj.read_text())["curve_meta"] is None
+
+    def test_lags_below_min_pairs_skipped_with_a_warning(self, tmp_path, capsys):
+        # 36,000 symbols give lag d 36,000 - d pairs: lags 51 to 64 fall short
+        src = write_pattern_file(tmp_path)
+        out = tmp_path / "curve.csv"
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(src), "--mode", "byte", "--max-lag", "64",
+                     "--min-pairs", "35950", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 14 lag(s) below min pair count were skipped\n")
+        meta = json.loads((tmp_path / "curve.csv.meta.json").read_text())
+        assert meta["min_pair_count"] == 35950
+        assert meta["skipped_lags"] == [
+            {"lag": d, "pair_count": 36000 - d} for d in range(51, 65)]
+        assert len(out.read_text().splitlines()) == 1 + 50
 
     def test_byte_identical_reruns(self, tmp_path):
         src = write_pattern_file(tmp_path)
@@ -180,6 +218,16 @@ class TestFitCommand:
         main(["fit", "--curve", str(curve), "--out", str(a)])
         main(["fit", "--curve", str(curve), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_threshold_option(self, tmp_path):
+        curve, fitj = write_power_curve(tmp_path), tmp_path / "fit.json"
+        assert main(["fit", "--curve", str(curve), "--out", str(fitj),
+                     "--threshold", "1e-3"]) == 0
+        doc = json.loads(fitj.read_text())
+        crossing = noise_crossing(estimator.curve_from_csv(curve), 1e-3)
+        assert doc["threshold"] == 0.001
+        assert doc["noise_crossing_d"] == crossing
+        assert crossing < noise_crossing(estimator.curve_from_csv(curve))
 
     def test_malformed_curve_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -328,7 +376,7 @@ class TestPermuteCommand:
         assert back.read_bytes() == src.read_bytes()
         assert fwd.read_bytes() != src.read_bytes()
         # every image takes the seed's position map: pixel i is pixel p[i]
-        p = PermutationSpec(9, 784).permutation()
+        p = np.random.default_rng(9).permutation(784)
         assert np.array_equal(read_idx_images(fwd)[0], read_idx_images(src)[0][:, p])
 
     def test_same_seed_byte_identical(self, tmp_path):
@@ -374,24 +422,26 @@ class TestPipeline:
     def test_missing_output_directory_names_the_requested_path(self, tmp_path, capsys, command):
         # the output is written to a temporary file beside it first; the
         # message names the path asked for, not that file
-        src = write_pattern_file(tmp_path)
-        curve, fitj = tmp_path / "curve.csv", tmp_path / "fit.json"
-        lags = np.unique(np.round(np.logspace(0, np.log10(400), 60)).astype(int))
-        rows = [f"{d},{(2.0 * d ** -2.2):.17g},100000" for d in lags]
-        curve.write_text("lag,mi_nats,pair_count\n" + "\n".join(rows) + "\n")
-        assert main(["fit", "--curve", str(curve), "--out", str(fitj)]) == 0
-        args = {
-            "analyze": ["--input", str(src), "--mode", "byte", "--max-lag", "8"],
-            "fit": ["--curve", str(curve)],
-            "schedule": ["--fit", str(fitj), "--layers", "9"],
-            "grid": ["--fit", str(fitj), "--layers", "2..4"],
-            "permute": ["--input", str(write_idx(tmp_path, n_images=20)), "--seed", "1"],
-        }[command]
+        args = command_args(tmp_path, command)
         out = tmp_path / "missing" / "out"
         capsys.readouterr()
         assert main([command, *args, "--out", str(out)]) == 2
         message = f"midecay: error: [Errno 2] No such file or directory: {str(out)!r}\n"
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("command", ["analyze", "fit", "schedule", "grid", "permute"])
+    def test_output_directory_names_the_requested_path(self, tmp_path, capsys, command):
+        # the temporary file is written, then cannot replace a directory: the
+        # message names that directory, and the temporary file is removed
+        args = command_args(tmp_path, command)
+        out = tmp_path / "outdir"
+        out.mkdir()
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main([command, *args, "--out", str(out)]) == 2
+        message = f"midecay: error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert capsys.readouterr().err == message
+        assert sorted(tmp_path.iterdir()) == before and not any(out.iterdir())
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()

@@ -12,7 +12,6 @@ from midecay import corpus as corpus_module
 from midecay import (
     Corpus,
     CorpusError,
-    PermutationSpec,
     load_idx_images,
     load_text,
     permute,
@@ -176,10 +175,9 @@ class TestLoadText:
 
     def test_char_mode_holds_no_copy_of_the_whole_text(self, tmp_path):
         # 500k characters of 1 to 4 bytes: the file (640 KB) and the uint8 ids
-        # take 1.1 MB, the ids of the blocks before they are joined 0.5 MB,
-        # and one block of 64 KB decoded, its UTF-32 copy and its code points'
-        # lookups up to 0.6 MB; the whole text decoded takes 2 MB, and its
-        # UTF-32 copy 2 MB more
+        # take 1.1 MB, and one block of 64 KB decoded, its UTF-32 copy and its
+        # code points' lookups up to 0.6 MB; the whole text decoded takes
+        # 2 MB, and its UTF-32 copy 2 MB more
         rng = np.random.default_rng(0)
         chars = rng.choice(list("abcdefghij klmnopqrstuvwxyz\u00e9\u00df\u4e2d\u6587\U0001f600"),
                            500_000)
@@ -193,6 +191,23 @@ class TestLoadText:
             tracemalloc.stop()
         assert c.n_symbols == 500_000 and c.alphabet_size == 32
         assert peak < 3e6
+
+    def test_char_mode_holds_the_ids_once(self, tmp_path):
+        # 2M ASCII characters: the file and the uint8 ids take 2 MB each, and
+        # a block's temporaries under 1 MB; ids gathered per block and then
+        # joined would hold them twice, 2 MB more
+        rng = np.random.default_rng(0)
+        data = rng.choice(np.frombuffer(b"abcdefghij klmnopqrstuvwxyz", np.uint8), 2_000_000)
+        p = write_bytes(tmp_path, "t.txt", data.tobytes())
+        del data
+        tracemalloc.start()
+        try:
+            c = load_text(p, "char")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.n_symbols == 2_000_000 and c.sequences[0].dtype == np.uint8
+        assert peak < 2 * 2_000_000 + 1e6
 
     def test_word_mode_holds_no_object_per_token(self, tmp_path):
         # the file and uint32 ids of 200k tokens take about 2.3 MB; one bytes
@@ -433,24 +448,30 @@ class TestCorpusInvariants:
         assert c.alphabet_size == 300
 
 
+def position_map(seed, length, inverse=False):
+    """The position map permute applies to rows of a length: output
+    position i takes input position p[i], read off a permuted 0..length-1."""
+    row = Corpus(sequences=(np.arange(length),), alphabet_size=length, mode="word")
+    return permute(row, seed, inverse).sequences[0][0]
+
+
 class TestPermutation:
     def test_golden_permutations(self):
         # pins the generator choice (numpy default_rng Fisher-Yates)
-        assert PermutationSpec(0, 8).permutation().tolist() == [2, 4, 3, 6, 5, 0, 1, 7]
-        assert PermutationSpec(7, 8).permutation().tolist() == [0, 6, 7, 2, 4, 5, 1, 3]
-        assert PermutationSpec(12345, 784).permutation()[:8].tolist() == [
+        assert position_map(0, 8).tolist() == [2, 4, 3, 6, 5, 0, 1, 7]
+        assert position_map(7, 8).tolist() == [0, 6, 7, 2, 4, 5, 1, 3]
+        assert position_map(12345, 784)[:8].tolist() == [
             495, 585, 639, 27, 231, 200, 636, 13,
         ]
 
     def test_permutation_is_bijection(self):
-        p = PermutationSpec(99, 784).permutation()
+        p = position_map(99, 784)
         assert sorted(p.tolist()) == list(range(784))
 
     def test_same_seed_same_output(self):
         c = Corpus(sequences=(np.arange(16) % 4,), alphabet_size=4, mode="byte")
-        spec = PermutationSpec(5, 16)
-        a = permute(c, spec)
-        b = permute(c, spec)
+        a = permute(c, 5)
+        b = permute(c, 5)
         assert np.array_equal(a.sequences[0], b.sequences[0])
 
     def test_round_trip_inverse(self):
@@ -459,49 +480,53 @@ class TestPermutation:
             alphabet_size=7,
             mode="byte",
         )
-        spec = PermutationSpec(17, 32)
-        back = permute(permute(c, spec), spec, inverse=True)
+        back = permute(permute(c, 17), 17, inverse=True)
         for orig, restored in zip(c.sequences, back.sequences):
             assert np.array_equal(orig, restored)
 
     def test_preserves_multiset(self):
         rng = np.random.default_rng(3)
         c = Corpus(sequences=(rng.integers(0, 9, 50),), alphabet_size=9, mode="byte")
-        p = permute(c, PermutationSpec(8, 50))
+        p = permute(c, 8)
         assert p.sequences[0].shape == c.sequences[0].shape == (1, 50)
         assert sorted(p.sequences[0][0].tolist()) == sorted(c.sequences[0][0].tolist())
 
     def test_length_mismatch(self):
+        # no single position permutation fits rows of two lengths
+        c = Corpus(sequences=(np.array([0, 1, 0]), np.array([1, 0, 1, 1])),
+                   alphabet_size=2, mode="byte")
+        with pytest.raises(CorpusError, match="lengths 3, 4"):
+            permute(c, 0)
+
+    def test_negative_seed_refused(self):
         c = Corpus(sequences=(np.array([0, 1, 0]),), alphabet_size=2, mode="byte")
-        with pytest.raises(CorpusError, match="length"):
-            permute(c, PermutationSpec(0, 4))
+        with pytest.raises(ValueError):
+            permute(c, -1)
 
     def test_stack_permuted_as_its_rows(self):
         # one gather per group: a stack's rows are permuted like 1-D rows, and
-        # the length checked is that of a row, not the row count
+        # the length permuted is that of a row, not the row count
         stack = np.random.default_rng(4).integers(0, 5, (4, 9)).astype(np.uint8)
-        spec = PermutationSpec(6, 9)
-        (out,) = permute(Corpus((stack,), 5, "pixel"), spec).sequences
-        rows = [permute(Corpus((row,), 5, "pixel"), spec).sequences[0] for row in stack]
+        (out,) = permute(Corpus((stack,), 5, "pixel"), 6).sequences
+        rows = [permute(Corpus((row,), 5, "pixel"), 6).sequences[0] for row in stack]
         assert out.shape == (4, 9) and out.dtype == np.uint8 and out.flags.c_contiguous
         assert all(row.shape == (1, 9) for row in rows)
         assert np.array_equal(out, np.concatenate(rows))
-        back = permute(Corpus((out,), 5, "pixel"), spec, inverse=True)
+        back = permute(Corpus((out,), 5, "pixel"), 6, inverse=True)
         assert np.array_equal(back.sequences[0], stack)
-        with pytest.raises(CorpusError, match="length 9 != permutation length 4"):
-            permute(Corpus((stack,), 5, "pixel"), PermutationSpec(0, 4))
+        with pytest.raises(CorpusError, match="lengths 9, 4"):
+            permute(Corpus((stack, stack[:, :4]), 5, "pixel"), 6)
 
     def test_seed_recorded_in_meta(self):
         c = Corpus(sequences=(np.array([0, 1]),), alphabet_size=2, mode="byte")
-        p = permute(c, PermutationSpec(42, 2))
+        p = permute(c, 42)
         assert "seed=42" in p.source_meta
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), length=st.integers(2, 128))
     def test_round_trip_property(self, seed, length):
-        spec = PermutationSpec(seed, length)
-        p = spec.permutation()
-        q = spec.inverse_permutation()
+        p = position_map(seed, length)
+        q = position_map(seed, length, inverse=True)
         ident = np.arange(length)
         assert np.array_equal(p[q], ident)
         assert np.array_equal(q[p], ident)

@@ -24,7 +24,6 @@ from midecay import (
     EstimationError,
     EstimatorConfig,
     LagGrid,
-    PermutationSpec,
     curve_from_csv,
     curve_to_csv,
     decay_curve,
@@ -547,7 +546,7 @@ class TestDecayCurve:
         # they stay bit-for-bit unchanged
         rng = np.random.default_rng(23)
         stack = (rng.integers(0, 32, (300, 784)) * 8).astype(np.uint8)
-        permuted = permute(Corpus((stack,), 256, "pixel"), PermutationSpec(2, 784))
+        permuted = permute(Corpus((stack,), 256, "pixel"), 2)
         assert Corpus((stack,), 256, "pixel").sequences[0] is stack
         for c in (Corpus((stack,), 256, "pixel"), permuted):
             (entry,) = c.sequences

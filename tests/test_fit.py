@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from midecay import fit as fit_module
 from midecay import (
@@ -504,6 +506,38 @@ class TestClassify:
     def test_too_few_points(self):
         with pytest.raises(FitError):
             classify(make_curve([1, 2, 3, 4, 5], 0.5 * np.arange(1, 6.0) ** -1))
+
+    def test_broken_fit_failure_falls_back_to_the_power_law(self):
+        # lags 2**62 .. 2**62 + 3 are one float64 value: every break that
+        # leaves them a segment of their own cannot be fitted, so the
+        # classifier keeps the single power law
+        lags = list(range(1, 8)) + [2**62 + k for k in range(4)]
+        curve = make_curve(lags, [2.0 * float(d) ** -0.5 for d in lags])
+        fit = classify(curve)
+        assert fit.decay_class is DecayClass.POWER_LAW
+        assert fit.power.d_range[1] == 2**62 and fit.power.r2 == 1.0  # their float64 value
+        with pytest.raises(FitError, match="all x values identical"):
+            fit_broken_power_law(curve, (fit.power.d_range[0], lags[-1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exponential_fits_wherever_the_power_law_does(self, data):
+        # both fit the same usable points, and distinct ln d means distinct
+        # d, so classify calls fit_exponential with no fallback; lags near
+        # 2**62 are a float64 ulp (1024) or less apart
+        lags = sorted(data.draw(st.lists(
+            st.integers(1, 40) | st.integers(2**62 - 4096, 2**62 + 4096),
+            min_size=1, max_size=12, unique=True)))
+        mi = data.draw(st.lists(st.just(0.0) | st.floats(1e-300, 1e3),
+                                min_size=len(lags), max_size=len(lags)))
+        d_range = data.draw(st.none() | st.tuples(st.sampled_from(lags), st.sampled_from(lags)))
+        curve = make_curve(lags, mi)
+        try:
+            power = fit_power_law(curve, d_range)
+        except FitError:
+            return
+        expo = fit_exponential(curve, d_range)
+        assert (expo.d_range, expo.n_points) == (power.d_range, power.n_points)
 
     def test_crossing_attached(self):
         fit = classify(power_curve(a=1.0, slope=-2.0, d_max=1000, lags=GRID_1000))
