@@ -9,14 +9,12 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import estimator as est
 from . import fit as fit_mod
 from . import schedule as sched
-from .jsonio import from_dict, read_json, to_dict, write_json
+from .jsonio import to_dict, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -139,46 +137,17 @@ def cmd_analyze(args) -> int:
     )
     grid = est.default_lag_grid(args.max_lag)
     curve = est.decay_curve(corpus, grid, config)
-    Path(f"{args.out}.meta.json").unlink(missing_ok=True)  # no stale sidecar beside a new curve
+    curve.meta.update(command="analyze", input=str(args.input), max_lag=args.max_lag,
+                      curve_csv=str(args.out))
     est.curve_to_csv(curve, args.out)
-    sidecar = dict(curve.meta)
-    sidecar.update(
-        {
-            "command": "analyze",
-            "input": str(args.input),
-            "max_lag": args.max_lag,
-            "curve_csv": str(args.out),
-        }
-    )
-    write_json(sidecar, f"{args.out}.meta.json")
-    n_skipped = len(curve.meta["skipped_lags"])
-    if n_skipped:
-        print(
-            f"warning: {n_skipped} lag(s) below min pair count were skipped",
-            file=sys.stderr,
-        )
+    if n_skipped := len(curve.meta["skipped_lags"]):
+        print(f"warning: {n_skipped} lag(s) below min pair count were skipped", file=sys.stderr)
     print(f"wrote {curve.lags.size} curve points to {args.out}")
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class _SidecarReads:
-    """The analyze sidecar fields that fit reads; the rest is carried as is."""
-
-    bias_floor_nats: list[float] | None = None
-
-
-def _sidecar(doc) -> dict:
-    from_dict(_SidecarReads, doc)
-    return doc
-
-
 def cmd_fit(args) -> int:
     curve = est.curve_from_csv(args.curve)
-    try:
-        curve.meta = read_json(f"{args.curve}.meta.json", _sidecar, est.EstimationError)
-    except FileNotFoundError:
-        pass
     fit = fit_mod.classify(curve, threshold=args.threshold)
     fit_mod.write_fit_json(fit, args.out)
     print(f"decay class {fit.decay_class.value}, wrote {args.out}")

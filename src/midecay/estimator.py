@@ -7,6 +7,7 @@ dependencies only.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, _byte_values
-from .jsonio import atomic_open, to_dict
+from .jsonio import atomic_open, from_dict, read_json, to_dict, write_json
 
 # above this many joint cells reduce with unique instead of a dense K'*K' table
 # (K' counts the symbols that occur):
@@ -568,18 +569,35 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
     return DecayCurve(lags=np.array(lags), mi=np.array(mi), pairs=np.array(pairs), meta=meta)
 
 
+@dataclass(frozen=True)
+class _SidecarReads:
+    """The sidecar fields that fit reads; the rest is carried as is."""
+
+    bias_floor_nats: list[float] | None = None
+
+
+def _sidecar(doc) -> dict:
+    from_dict(_SidecarReads, doc)
+    return doc
+
+
 def curve_to_csv(curve: DecayCurve, path) -> None:
-    """Write `lag,mi_nats,pair_count` rows, MI at full float precision."""
+    """Write `lag,mi_nats,pair_count` rows, MI at full float precision, and
+    curve.meta, when it is not empty, to the `<path>.meta.json` sidecar."""
+    sidecar = f"{path}.meta.json"
+    with contextlib.suppress(FileNotFoundError):  # no sidecar outlives its curve
+        os.unlink(sidecar)
     with atomic_open(path, encoding="utf-8", newline="") as f:
         f.write("lag,mi_nats,pair_count\n")
         for d, m, c in curve.points():
             f.write(f"{d},{m:.17g},{c}\n")
+    if curve.meta:
+        write_json(curve.meta, sidecar)
 
 
 def curve_from_csv(path) -> DecayCurve:
-    lags: list[int] = []
-    mi: list[float] = []
-    pairs: list[int] = []
+    """The curve curve_to_csv wrote to path, its meta read from the sidecar."""
+    rows: list[tuple[int, float, int]] = []
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().split("\n")
@@ -596,14 +614,16 @@ def curve_from_csv(path) -> DecayCurve:
         if len(parts) != 3:
             raise EstimationError(f"{path}:{lineno}: expected 3 columns")
         try:
-            lags.append(int(parts[0]))
-            mi.append(float(parts[1]))
-            pairs.append(int(parts[2]))
+            rows.append((int(parts[0]), float(parts[1]), int(parts[2])))
         except ValueError as exc:
             raise EstimationError(f"{path}:{lineno}: {exc}") from exc
-    if not lags:
+    if not rows:
         raise EstimationError(f"{path}: no curve points")
+    lags, mi, pairs = zip(*rows)
     try:
-        return DecayCurve(lags=np.array(lags), mi=np.array(mi), pairs=np.array(pairs))
+        curve = DecayCurve(lags=np.array(lags), mi=np.array(mi), pairs=np.array(pairs))
     except (ValueError, OverflowError) as exc:  # overflow: an integer beyond int64
         raise EstimationError(f"{path}: invalid curve: {exc}") from exc
+    with contextlib.suppress(FileNotFoundError):  # without a sidecar meta stays empty
+        curve.meta = read_json(f"{path}.meta.json", _sidecar, EstimationError)
+    return curve

@@ -91,9 +91,14 @@ class PeriodicitySignature:
     prominence: float
 
     def __post_init__(self):
+        peaks = tuple(int(d) for d in self.peak_lags)
+        if int(self.period) != self.period or peaks != tuple(self.peak_lags):
+            raise ValueError("period and peak lags must be whole numbers")
+        object.__setattr__(self, "period", int(self.period))
+        object.__setattr__(self, "peak_lags", peaks)
         if self.period < 2:
             raise ValueError("period must be >= 2")
-        if any(b <= a for a, b in zip(self.peak_lags, self.peak_lags[1:])):
+        if any(b <= a for a, b in zip(peaks, peaks[1:])):
             raise ValueError("peak lags must be strictly increasing")
 
 
@@ -311,8 +316,9 @@ def detect_periodicity(curve: DecayCurve) -> PeriodicitySignature | None:
     # the prefix lags are 1..n; math.log, as PowerLawFit.log_mi_at takes it:
     # np.log differs from it in the last bit on some integers
     log_d = np.fromiter(map(math.log, range(1, n + 1)), np.float64, n)
-    baseline = np.exp(base.log_intercept + base.slope * log_d)
-    ratio = np.where(baseline > 0, curve.mi[:n] / baseline, 0.0)
+    with np.errstate(all="ignore"):  # a baseline that underflows to 0 reads as ratio 0
+        baseline = np.exp(base.log_intercept + base.slope * log_d)
+        ratio = np.where(baseline > 0, curve.mi[:n] / baseline, 0.0)
     mid = ratio[1:-1]
     peaks = (np.flatnonzero(
         (mid >= (1.0 + PERIOD_PROMINENCE) * np.maximum(ratio[:-2], ratio[2:])) & (mid > 0)

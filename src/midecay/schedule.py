@@ -40,6 +40,8 @@ class DilationSchedule:
 
     def __post_init__(self):
         dil = tuple(int(v) for v in self.dilations)
+        if dil != tuple(self.dilations):
+            raise ValueError("dilations must be whole numbers")
         if not dil:
             raise ValueError("schedule must contain at least one dilation")
         if dil[0] != 1:

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from midecay import corpus, estimator, noise_crossing, read_idx_images, write_idx_images
-from midecay import cli
+from midecay import (classify, corpus, estimator, noise_crossing, read_idx_images,
+                     write_fit_json, write_idx_images)
 from midecay.cli import build_parser, main
 from tests.conftest import REPO_ROOT, synth_images
 
@@ -111,14 +111,14 @@ class TestAnalyze:
                          "--max-lag", "16", "--out", str(out)])
 
         assert analyze(write_pattern_file(tmp_path, name="a.txt")) == 0 and sidecar.exists()
-        write_json = cli.write_json
+        write_json = estimator.write_json
 
         def full_for_sidecar(doc, path):
             if str(path) == str(sidecar):
                 raise OSError(28, "No space left on device")
             return write_json(doc, path)
 
-        monkeypatch.setattr(cli, "write_json", full_for_sidecar)
+        monkeypatch.setattr(estimator, "write_json", full_for_sidecar)
         assert analyze(write_pattern_file(tmp_path, pattern=b"abcb", name="b.txt")) == 2
         # the curve is now b's: no sidecar may still describe a's
         assert not sidecar.exists()
@@ -218,6 +218,33 @@ class TestFitCommand:
         main(["fit", "--curve", str(curve), "--out", str(a)])
         main(["fit", "--curve", str(curve), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_library_fit_equals_the_fit_command(self, tmp_path):
+        curve = tmp_path / "curve.csv"
+        assert main(["analyze", "--input", str(write_pattern_file(tmp_path)), "--mode", "byte",
+                     "--max-lag", "64", "--out", str(curve)]) == 0
+        command, library = tmp_path / "command.json", tmp_path / "library.json"
+        assert main(["fit", "--curve", str(curve), "--out", str(command)]) == 0
+        write_fit_json(classify(estimator.curve_from_csv(curve)), library)
+        assert json.loads(command.read_text())["curve_meta"]["command"] == "analyze"
+        assert library.read_bytes() == command.read_bytes()
+
+    # the power law fitted to the unit-lag prefix underflows to 0 at lags of
+    # MI 1e-300 and 5e-324, or to a subnormal below the two peaks
+    @pytest.mark.parametrize("mi, decay_class", [
+        ([1.0] * 4 + [1e-300] * 4 + [5e-324] * 12, "PowerLawPeriodic"),
+        ([1.0 if d in (150, 151) else 5e-324 for d in range(1, 301)], "PowerLaw"),
+    ])
+    def test_underflowing_baseline_prints_no_warning(self, tmp_path, mi, decay_class):
+        curve, fitj = tmp_path / "curve.csv", tmp_path / "fit.json"
+        curve.write_text("lag,mi_nats,pair_count\n" + "".join(
+            f"{d},{m!r},1000\n" for d, m in enumerate(mi, start=1)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "midecay.cli", "fit", "--curve", str(curve), "--out", str(fitj)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(fitj.read_text())["decay_class"] == decay_class
 
     def test_threshold_option(self, tmp_path):
         curve, fitj = write_power_curve(tmp_path), tmp_path / "fit.json"

@@ -39,6 +39,11 @@ class TestLoadText:
         assert c.alphabet_size == 2
         assert c.alphabet == (ord("a"), ord("b"))
 
+    def test_unknown_mode_refused(self, tmp_path):
+        p = write_bytes(tmp_path, "t.txt", b"ab")
+        with pytest.raises(ValueError, match="byte/char/word"):
+            load_text(p, "pixel")
+
     def test_single_symbol_alphabet(self, tmp_path):
         p = write_bytes(tmp_path, "t.txt", b"aa")
         c = load_text(p, "byte")
@@ -267,6 +272,13 @@ class TestIdx:
         assert (rows, cols) == (2, 3)
         assert np.array_equal(back, images)
 
+    @pytest.mark.parametrize("shape", [(784,), (3, 783), (2, 28, 28)])
+    def test_write_refuses_images_of_another_shape(self, tmp_path, shape):
+        p = tmp_path / "imgs.idx"
+        with pytest.raises(ValueError, match="shape"):
+            write_idx_images(p, np.zeros(shape, dtype=np.uint8), 28, 28)
+        assert not p.exists()
+
     def test_load_as_corpus(self, tmp_path):
         images = np.zeros((3, 784), dtype=np.uint8)
         p = tmp_path / "imgs.idx"
@@ -395,6 +407,16 @@ class TestCorpusInvariants:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             Corpus(sequences=(np.array([], dtype=int),), alphabet_size=1, mode="byte")
+
+    @pytest.mark.parametrize("sequences, k, mode, message", [
+        ((np.array([0, 1]),), 2, "pixels", "unknown mode"),
+        ((np.array([0, 0]),), 0, "byte", "alphabet_size must be >= 1"),
+        ((), 2, "byte", "at least one sequence"),
+        ((np.array([0.0, 1.0]),), 2, "byte", "integer symbol ids"),
+    ])
+    def test_invalid_corpus_refused(self, sequences, k, mode, message):
+        with pytest.raises(ValueError, match=message):
+            Corpus(sequences, k, mode)
 
     def test_narrow_text_and_stack_stored_uncopied(self):
         text = np.arange(10, dtype=np.uint8) % 3

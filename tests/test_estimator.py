@@ -1336,6 +1336,22 @@ class TestLagGrid:
         curve = DecayCurve(lags=[1.0, 2.0, 3.0], mi=[0.3, 0.2, 0.1], pairs=[1000.0, 999, 998])
         assert curve.lags.tolist() == [1, 2, 3] and curve.pairs.tolist() == [1000, 999, 998]
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(bias_correction="jackknife"), "bias_correction must be one of"),
+        (dict(min_pair_count=0), "min_pair_count must be >= 1"),
+    ])
+    def test_invalid_config_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EstimatorConfig(**kwargs)
+
+    @pytest.mark.parametrize("lags, mi, pairs, message", [
+        ([1, 2, 3], [0.3, 0.2], [10, 9, 8], "equal shapes"),
+        ([], [], [], "at least one point"),
+    ])
+    def test_curve_of_unequal_or_no_points_refused(self, lags, mi, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            DecayCurve(lags=lags, mi=mi, pairs=pairs)
+
 
 class TestCurveCsv:
     def test_round_trip_exact(self, tmp_path):
@@ -1348,6 +1364,23 @@ class TestCurveCsv:
         assert back.lags.tolist() == curve.lags.tolist()
         assert back.mi.tolist() == curve.mi.tolist()  # 17 sig digits round-trip
         assert back.pairs.tolist() == curve.pairs.tolist()
+
+    def test_meta_round_trips_through_the_sidecar(self, tmp_path):
+        c = corpus_from_lists([np.random.default_rng(3).integers(0, 4, 3000)], 4)
+        # 3,000 symbols give lag d 3,000 - d pairs: lags 11 to 50 are skipped
+        curve = decay_curve(c, default_lag_grid(50), EstimatorConfig(min_pair_count=2990))
+        assert len(curve.meta["skipped_lags"]) == 40 and len(curve.meta["bias_floor_nats"]) == 10
+        path = tmp_path / "curve.csv"
+        curve_to_csv(curve, path)
+        assert (tmp_path / "curve.csv.meta.json").exists()
+        assert curve_from_csv(path).meta == curve.meta
+
+    def test_empty_meta_removes_a_stale_sidecar_and_writes_none(self, tmp_path):
+        path, sidecar = tmp_path / "curve.csv", tmp_path / "curve.csv.meta.json"
+        sidecar.write_text('{"bias_floor_nats": [0.5, 0.5]}')
+        curve_to_csv(DecayCurve(lags=[1, 2], mi=[0.5, 0.25], pairs=[10, 9]), path)
+        assert not sidecar.exists()
+        assert curve_from_csv(path).meta == {}
 
     def test_header_enforced(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -28,6 +28,7 @@ from midecay.fit import (
     BrokenPowerLawFit,
     ClassifiedFit,
     DecayClass,
+    PeriodicitySignature,
     PowerLawFit,
     _moving_median,
     _ols,
@@ -321,6 +322,23 @@ class TestPeriodicity:
     def test_monotone_power_law_has_none(self):
         assert detect_periodicity(power_curve(d_max=100)) is None
 
+    def test_prefix_without_a_power_law_fit_has_none(self):
+        # ten unit lags, only two of them with MI > 0: the prefix fit fails
+        mi = np.zeros(10)
+        mi[[2, 6]] = 0.5, 0.1
+        assert detect_periodicity(make_curve(np.arange(1, 11), mi)) is None
+
+    @pytest.mark.parametrize("period, peaks", [(2.7, (3, 6)), (3, (3.5, 6.1)),
+                                               (2.7, (3.5, 6.1)), (np.float64(4.5), (5, 9))])
+    def test_signature_refuses_fractional_lags(self, period, peaks):
+        with pytest.raises(ValueError, match="whole numbers"):
+            PeriodicitySignature(period, peaks, 0.2)
+
+    def test_signature_takes_whole_floats_as_ints(self):
+        sig = PeriodicitySignature(3.0, (np.float64(3.0), np.int64(6)), 0.2)
+        assert sig == PeriodicitySignature(3, (3, 6), 0.2)
+        assert type(sig.period) is int and {type(d) for d in sig.peak_lags} == {int}
+
     def test_deterministic_period_7(self):
         corpus = pattern_corpus([0] * 6 + [1], 2)
         curve = decay_curve(corpus, default_lag_grid(64), EstimatorConfig())
@@ -461,6 +479,9 @@ class TestDecayOnset:
         assert detect_decay_onset(power_curve(slope=-1.0, d_max=100)) <= 3
         assert detect_decay_onset(power_curve(slope=-1.5, d_max=100)) <= 2
 
+    def test_curve_without_mi_starts_at_its_first_lag(self):
+        assert detect_decay_onset(make_curve([3, 5, 9, 12], [0.0] * 4)) == 3
+
     def test_flat_prefix_detected(self):
         lags = GRID_1000[GRID_1000 <= 783]
         mi = np.where(lags < 300, 1e-3, 1e-3 * np.exp(-0.01 * (lags - 300)))
@@ -561,6 +582,19 @@ class TestClassify:
                     assert scaled.broken.break_d == base.broken.break_d
                 if base.periodicity is not None:
                     assert scaled.periodicity.period == base.periodicity.period
+
+
+class TestClassifiedFitType:
+    POWER = PowerLawFit(-1.0, 0.0, 0.99, (1, 100), 100)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(), "PowerLaw fit requires power"),
+        (dict(power=POWER, periodicity=PeriodicitySignature(4, (4, 8), 0.2)),
+         "PowerLaw fit must not carry periodicity"),
+    ])
+    def test_models_must_match_the_class(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ClassifiedFit(DecayClass.POWER_LAW, max_lag=100, **kwargs)
 
 
 class TestFitJson:

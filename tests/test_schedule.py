@@ -25,6 +25,7 @@ from midecay.fit import (
 from midecay.schedule import (
     MAX_UNIT_STEPS,
     DilationSchedule,
+    GridSearchSpec,
     _hybrid_dense_then_standard,
     _hybrid_standard_then_sparse,
     grid_from_dict,
@@ -115,6 +116,14 @@ class TestStandardDilations:
         # a 64th layer would reach 2**63
         with pytest.raises(ScheduleError, match="<= 63"):
             standard_dilations(64)
+
+    @pytest.mark.parametrize("n_layers, d_max, message", [
+        (0, 8, "n_layers must be >= 1"),
+        (3, 0, "d_max must be >= 1"),
+    ])
+    def test_capped_variant_invalid(self, n_layers, d_max, message):
+        with pytest.raises(ScheduleError, match=message):
+            capped_standard_dilations(n_layers, d_max)
 
     def test_capped_variant(self):
         assert capped_standard_dilations(11, 780).dilations == (
@@ -220,6 +229,30 @@ class TestDilationScheduleType:
     def test_nonempty(self):
         with pytest.raises(ValueError):
             DilationSchedule((), "standard")
+
+    def test_unknown_origin(self):
+        with pytest.raises(ValueError, match="unknown origin"):
+            DilationSchedule((1, 2), "guessed")
+
+    @pytest.mark.parametrize("dilations", [(1, 2.5, 4.9), (1.0, 2.0, 3.5), (np.float64(1), 2.25)])
+    def test_fractional_dilations_refused(self, dilations):
+        with pytest.raises(ValueError, match="whole numbers"):
+            DilationSchedule(dilations, "standard")
+
+    def test_whole_float_dilations_taken_as_ints(self):
+        s = DilationSchedule((1.0, np.float64(2.0), np.int64(4)), "standard")
+        assert s.dilations == (1, 2, 4) and {type(v) for v in s.dilations} == {int}
+
+
+class TestGridSearchSpecType:
+    def test_empty_grid_refused(self):
+        with pytest.raises(ValueError, match="at least one schedule"):
+            GridSearchSpec([], power_fit())
+
+    def test_duplicate_schedule_refused(self):
+        s = standard_dilations(3)
+        with pytest.raises(ValueError, match=r"duplicate schedule \(1, 2, 4\)"):
+            GridSearchSpec([s, DilationSchedule(s.dilations, "curve_fitted")], power_fit())
 
 
 class TestScheduleFor:
