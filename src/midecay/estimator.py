@@ -40,10 +40,10 @@ DENSE_JOINT_LIMIT = 2**20
 # (0.89-1.26); the 1,500-image bench set (K' 32) on 1 thread 0.59
 _BATCH_CELLS = np.iinfo(np.uint16).max + 1
 
-# codes per dense buffer (and symbols per chunk of the rank scan): chunks of
-# whole rows or, for rows longer than this, column spans fill one code buffer
-# of at most 1 MB per worker (uint32 codes; 512 KB of the uint16 codes of a
-# batch of lags), which stays in cache; the unique path sorts its buffer
+# symbols per chunk of the rank scan, and the most codes of a dense buffer:
+# chunks of whole rows, or column spans of longer rows, fill one buffer per
+# worker with the codes of one bincount call, _CHUNK / 4 to _CHUNK of them
+# (_tuple_counts), which stays in cache; the unique path sorts its buffer
 # anyway and then merges the buffers' cells, which made a sparse lag of a
 # 1M-token text 2.5x slower at the small size
 _CHUNK = 1 << 18
@@ -240,19 +240,18 @@ def _codes(groups: list[np.ndarray], k: int, lags: tuple[int, ...], size: int, d
 
 def _tuple_counts(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> np.ndarray:
     """Counts of the tuples of lags d_1 < ... < d_m, as a flat int64 table
-    indexed by their code, over blocks of _CHUNK codes of the narrowest dtype
-    that holds k^(m+1) - 1.
+    indexed by their code, one bincount call per block of step codes of the
+    narrowest dtype that holds k^(m+1) - 1.
 
     bincount copies its input to intp and returns a table-sized array, so a
-    call takes 8 codes per cell, from _CHUNK / 4 (a 512 KB copy, not 2 MB)
+    block holds 8 codes per cell, from _CHUNK / 4 (a 512 KB copy, not 2 MB)
     to _CHUNK (2^15 cells on, where more outputs would cost more than that).
     """
     cells = k ** (len(lags) + 1)
     flat = np.zeros(cells, dtype=np.int64)
     step = min(_CHUNK, max(_CHUNK >> 2, 8 * cells))
-    for block in _codes(groups, k, lags, _CHUNK, np.min_scalar_type(cells - 1)):
-        for i in range(0, block.size, step):
-            flat += np.bincount(block[i : i + step], minlength=cells)
+    for block in _codes(groups, k, lags, step, np.min_scalar_type(cells - 1)):
+        flat += np.bincount(block, minlength=cells)
     return flat
 
 

@@ -356,9 +356,7 @@ def crossing_low_confidence(
     if not floors or len(floors) != curve.lags.size:
         return False
     d = noise_crossing(curve, threshold)
-    if d is None:
-        return bool(floors[-1] > threshold)
-    tail = curve.lags >= d
+    tail = curve.lags >= (curve.lags[-1] if d is None else d)  # no crossing: the last lag
     return bool(np.any(np.asarray(floors)[tail] > threshold))
 
 
@@ -405,9 +403,9 @@ def classify(curve: DecayCurve, threshold: float = DEFAULT_NOISE_THRESHOLD) -> C
     and routes to Exponential when the exponential fit is at least as good as
     the power law.
     """
-    usable = int(np.count_nonzero(curve.mi > 0))
-    if usable < 7:
-        raise FitError(f"classification needs >= 7 usable points, got {usable}")
+    usable_lags = curve.lags[curve.mi > 0]
+    if usable_lags.size < 7:
+        raise FitError(f"classification needs >= 7 usable points, got {usable_lags.size}")
     common = {
         "max_lag": curve.max_lag,
         "threshold": threshold,
@@ -423,10 +421,9 @@ def classify(curve: DecayCurve, threshold: float = DEFAULT_NOISE_THRESHOLD) -> C
             DecayClass.POWER_LAW_PERIODIC, power=power, periodicity=sig, **common
         )
 
-    usable_lags = curve.lags[curve.mi > 0]
     d_hi = int(usable_lags[-1])
     onset = detect_decay_onset(curve)
-    if int(np.count_nonzero((usable_lags >= onset) & (usable_lags <= d_hi))) < 7:
+    if int(np.count_nonzero(usable_lags >= onset)) < 7:
         onset = int(usable_lags[0])
     d_range = (onset, d_hi)
 

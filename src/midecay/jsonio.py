@@ -16,12 +16,10 @@ from enum import Enum
 
 def to_dict(obj):
     """A dataclass as JSON data: fields by name, enums by value, tuples as lists."""
-    if type(obj) in (int, float, str, bool, dict, type(None)):  # a str enum is not a str
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [to_dict(v) for v in obj]
     if isinstance(obj, Enum):
         return obj.value
+    if isinstance(obj, (list, tuple)):
+        return [to_dict(v) for v in obj]
     if dataclasses.is_dataclass(obj):
         return {name: to_dict(getattr(obj, name)) for name, _, _ in _fields(type(obj))}
     return obj

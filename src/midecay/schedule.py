@@ -128,22 +128,18 @@ def capped_standard_dilations(n_layers: int, d_max: int) -> DilationSchedule:
 
 def _solve(segments: list[tuple[float, float, float, float]], level: float) -> float:
     """Lag at which contiguous, decreasing (d_lo, d_hi, slope, log_intercept)
-    power-law segments attain the given log-MI level.
+    power-law segments attain the given log-MI level: on the first segment
+    whose bottom the level reaches, else the last, clamped to its lags.
 
-    Levels falling inside a discontinuity at a segment joint map to the
-    joint lag itself.
+    A level in the gap at a joint lies above the next segment's top, so it
+    clamps to the joint. The clamp acts on the log-lag, which a near-zero
+    slope sends past exp's range, and returns the bound, not exp(log(bound)).
     """
-    for i, (d_lo, d_hi, slope, intercept) in enumerate(segments):
-        bottom = intercept + slope * math.log(d_hi)
-        if level >= bottom:
-            d = math.exp((level - intercept) / slope)
-            return min(max(d, d_lo), d_hi)
-        if i + 1 < len(segments):
-            nxt = segments[i + 1]
-            nxt_top = nxt[3] + nxt[2] * math.log(nxt[0])
-            if level > nxt_top:
-                return d_hi  # joint lag absorbs the discontinuity gap
-    return segments[-1][1]
+    d_lo, d_hi, slope, intercept = next(
+        (s for s in segments if level >= s[3] + s[2] * math.log(s[1])), segments[-1]
+    )
+    x = (level - intercept) / slope
+    return d_lo if x <= math.log(d_lo) else d_hi if x >= math.log(d_hi) else math.exp(x)
 
 
 def _integerize(targets: list[float], d_max: int) -> list[int]:
@@ -156,9 +152,7 @@ def _integerize(targets: list[float], d_max: int) -> list[int]:
     out = []
     prev = 0
     for t in targets:
-        v = max(int(round(t)), prev + 1, 1)
-        out.append(v)
-        prev = v
+        out.append(prev := max(int(round(t)), prev + 1))
     out[-1] = d_max
     for i in range(len(out) - 2, -1, -1):
         out[i] = min(out[i], out[i + 1] - 1)
@@ -229,9 +223,7 @@ def _hybrid_dense_then_standard(break_d: int, d_max: int) -> DilationSchedule:
 
 
 def _hybrid_standard_then_sparse(break_d: int, d_max: int) -> DilationSchedule:
-    head = [1]
-    while head[-1] * 2 <= break_d:
-        head.append(head[-1] * 2)
+    head = [2**i for i in range(int(break_d).bit_length())]  # the powers up to the break
     h = head[-1]
     if d_max <= h:
         return DilationSchedule(

@@ -1388,6 +1388,12 @@ class TestCurveCsv:
         with pytest.raises(EstimationError, match="header"):
             curve_from_csv(p)
 
+    def test_header_only_has_no_curve_points(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("lag,mi_nats,pair_count\n")
+        with pytest.raises(EstimationError, match="no curve points"):
+            curve_from_csv(p)
+
     def test_malformed_row(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("lag,mi_nats,pair_count\n1,0.5\n")

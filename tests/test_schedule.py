@@ -1,9 +1,12 @@
 """Dilation schedule construction and grid-search spec assembly."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from midecay import (
     ScheduleError,
@@ -11,6 +14,7 @@ from midecay import (
     capped_standard_dilations,
     intercept_dilations,
     max_dilation,
+    schedule,
     schedule_for,
     standard_dilations,
 )
@@ -58,6 +62,57 @@ def broken_fit(mi1=0.55, break_d=12, s1=-1.2, s2=-0.6, max_lag=1000, crossing=24
         ),
         noise_crossing_d=crossing,
     )
+
+
+def _three_exit_solve(segments, level):
+    """The reference solver: a clamp on the lag of the segment the level
+    reaches, the joint lag for a level in a joint's gap, and d_hi below every
+    bottom, each an exit of its own."""
+    for i, (d_lo, d_hi, slope, intercept) in enumerate(segments):
+        bottom = intercept + slope * math.log(d_hi)
+        if level >= bottom:
+            return min(max(math.exp((level - intercept) / slope), d_lo), d_hi)
+        if i + 1 < len(segments):
+            nxt = segments[i + 1]
+            if level > nxt[3] + nxt[2] * math.log(nxt[0]):
+                return d_hi
+    return segments[-1][1]
+
+
+def _reference_dilations(fit, n_layers, d_max):
+    """intercept_dilations driven by the reference solver; None for a
+    ScheduleError."""
+    with mock.patch.object(schedule, "_solve", _three_exit_solve):
+        try:
+            return intercept_dilations(fit, n_layers, d_max).dilations
+        except ScheduleError:
+            return None
+
+
+# magnitudes from 1e-320 (subnormal) to 1e300, about uniform in the exponent
+_MAGNITUDES = st.builds(lambda m, e: m * 10.0**e, st.floats(1, 9.99), st.integers(-320, 299))
+_SIGNED = st.builds(lambda m, neg: -m if neg else m, _MAGNITUDES, st.booleans())
+# mostly decaying slopes; a rising one must raise ScheduleError
+_SLOPES = st.one_of(st.builds(lambda m: -m, _MAGNITUDES), _SIGNED)
+
+
+def _segment(slope, log_intercept):
+    return PowerLawFit(slope, log_intercept, 0.9, (1, 2), 3)
+
+
+_EXTREME_FITS = st.one_of(
+    st.builds(
+        lambda s, a: ClassifiedFit(DecayClass.POWER_LAW, max_lag=2**62, power=_segment(s, a)),
+        _SLOPES, _SIGNED,
+    ),
+    st.builds(
+        lambda b, s1, a1, s2, a2: ClassifiedFit(
+            DecayClass.BROKEN_POWER_LAW, max_lag=2**62,
+            broken=BrokenPowerLawFit(b, _segment(s1, a1), _segment(s2, a2), 0.5),
+        ),
+        st.integers(2, 2**40), _SLOPES, _SIGNED, _SLOPES, _SIGNED,
+    ),
+)
 
 
 def periodic_fit(period=28, max_lag=783):
@@ -215,6 +270,36 @@ class TestInterceptDilations:
     def test_deterministic(self):
         bf = broken_fit()
         assert intercept_dilations(bf, 12, 240) == intercept_dilations(bf, 12, 240)
+
+    # the last level rounds below a right segment flat at float resolution:
+    # its log-lag, about 3e283, overflows exp unless clamped first
+    @example(
+        fit=ClassifiedFit(
+            DecayClass.BROKEN_POWER_LAW, max_lag=1000,
+            broken=BrokenPowerLawFit(2, _segment(-1.0, 1.0), _segment(-1e-300, 0.1), 0.5),
+        ),
+        n_layers=2, d_max=3,
+    )
+    # a level rounds onto the bottom of a slope-dominated fit, past log(d_max):
+    # exp(log(d_max)) misses d_max by about 10^4, so a clamp returns d_max itself
+    @example(
+        fit=ClassifiedFit(
+            DecayClass.POWER_LAW, max_lag=2**62,
+            power=_segment(-1.0073636732307517e215, -1.8559715991276505e232),
+        ),
+        n_layers=6, d_max=3097439329673956157,
+    )
+    @settings(max_examples=500, deadline=None)
+    @given(fit=_EXTREME_FITS, n_layers=st.integers(2, 40), d_max=st.integers(2, 2**62))
+    def test_extreme_fits_match_the_reference_solver(self, fit, n_layers, d_max):
+        try:
+            got = intercept_dilations(fit, n_layers, d_max).dilations
+        except ScheduleError:
+            got = None
+        assert got == _reference_dilations(fit, n_layers, d_max)
+        if got is not None:
+            assert len(got) == n_layers and got[0] == 1 and got[-1] == d_max
+            assert all(b > a for a, b in zip(got, got[1:]))
 
 
 class TestDilationScheduleType:
