@@ -3,8 +3,6 @@
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import math

@@ -1,7 +1,5 @@
 """Corpus ingestion: text and IDX image files become integer symbol sequences."""
 
-from __future__ import annotations
-
 import re
 import struct
 from dataclasses import dataclass, replace
@@ -189,11 +187,12 @@ def load_text(path, mode: str) -> Corpus:
     if not data:
         raise CorpusError(f"empty input file: {path}")
 
-    if mode == "byte":
-        alphabet = tuple(_byte_values(data[i : i + _BLOCK] for i in range(0, len(data), _BLOCK)))
+    if mode == "byte" or mode == "char" and data.isascii():  # an ASCII byte is a character
+        values = _byte_values(data[i : i + _BLOCK] for i in range(0, len(data), _BLOCK))
         ranks = np.zeros(256, dtype=np.uint8)
-        ranks[list(alphabet)] = np.arange(len(alphabet))
+        ranks[list(values)] = np.arange(len(values))
         ids = np.frombuffer(data.translate(ranks), dtype=np.uint8)
+        alphabet = tuple(values) if mode == "byte" else tuple(map(chr, values))
     else:
         try:
             # word mode: no multibyte UTF-8 sequence contains an ASCII

@@ -5,8 +5,6 @@ multi-sequence corpora (e.g. image sets) the counts pool within-sequence
 dependencies only.
 """
 
-from __future__ import annotations
-
 import contextlib
 import functools
 import itertools

@@ -7,8 +7,6 @@ space; points with MI == 0 are excluded and the exclusion count is reported
 on the fit.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from dataclasses import dataclass

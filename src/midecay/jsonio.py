@@ -1,11 +1,8 @@
 """The JSON format of every output, driven by the dataclass fields, and the
 atomic write that every output file goes through."""
 
-from __future__ import annotations
-
 import contextlib
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -21,7 +18,7 @@ def to_dict(obj):
     if isinstance(obj, (list, tuple)):
         return [to_dict(v) for v in obj]
     if dataclasses.is_dataclass(obj):
-        return {name: to_dict(getattr(obj, name)) for name, _, _ in _fields(type(obj))}
+        return {f.name: to_dict(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 
@@ -39,16 +36,16 @@ def from_dict(cls, d):
 def _check(tp, v, where: str):
     args = typing.get_args(tp)
     origin = typing.get_origin(tp)
-    if origin in (typing.Union, types.UnionType):  # only `X | None` is used
+    if origin is types.UnionType:  # only `X | None` is used
         return None if v is None else _check(args[0], v, where)
     if dataclasses.is_dataclass(tp):
         _expect(isinstance(v, dict), where, "an object", v)
         kwargs = {}
-        for name, annotation, required in _fields(tp):
-            if name in v:
-                kwargs[name] = _check(annotation, v[name], f"{where}.{name}")
-            elif required:
-                raise TypeError(f"{where}: missing key {name!r}")
+        for f in dataclasses.fields(tp):
+            if f.name in v:
+                kwargs[f.name] = _check(f.type, v[f.name], f"{where}.{f.name}")
+            elif f.default is f.default_factory is dataclasses.MISSING:
+                raise TypeError(f"{where}: missing key {f.name!r}")
         return tp(**kwargs)
     if origin in (tuple, list):
         _expect(isinstance(v, list), where, "an array", v)
@@ -64,14 +61,6 @@ def _check(tp, v, where: str):
     kinds = (int, float) if tp is float else tp
     _expect(isinstance(v, kinds) and (tp is bool or not isinstance(v, bool)), where, tp.__name__, v)
     return v
-
-
-@functools.cache
-def _fields(cls) -> tuple[tuple[str, object, bool], ...]:
-    """(name, resolved annotation, has no default) of each field of cls."""
-    hints, missing = typing.get_type_hints(cls), dataclasses.MISSING
-    return tuple((f.name, hints[f.name], f.default is f.default_factory is missing)
-                 for f in dataclasses.fields(cls))
 
 
 def _expect(ok: bool, where: str, what: str, v) -> None:

@@ -6,8 +6,6 @@ lag at which the fitted (piecewise) power law attains each level. A steeper
 segment therefore receives denser dilations.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -63,11 +61,14 @@ class MaxDilation:
 class GridSearchSpec:
     schedules: list[DilationSchedule]
     evidence: ClassifiedFit
-    dataset_meta: str = ""
 
     @property
     def max_dilation(self) -> MaxDilation:
         return max_dilation(self.evidence)
+
+    @property
+    def dataset_meta(self) -> str:
+        return str((self.evidence.curve_meta or {}).get("source_meta", ""))
 
     def __post_init__(self):
         if not self.schedules:
@@ -296,8 +297,7 @@ def build_grid(fit: ClassifiedFit, layer_sweep) -> GridSearchSpec:
     unique: dict[tuple[int, ...], DilationSchedule] = {}
     for s in schedules:
         unique.setdefault(s.dilations, s)
-    dataset_meta = str((fit.curve_meta or {}).get("source_meta", ""))
-    return GridSearchSpec(schedules=list(unique.values()), evidence=fit, dataset_meta=dataset_meta)
+    return GridSearchSpec(schedules=list(unique.values()), evidence=fit)
 
 
 def fit_summary(fit: ClassifiedFit) -> dict:
@@ -312,12 +312,14 @@ def fit_summary(fit: ClassifiedFit) -> dict:
 
 
 def grid_to_dict(spec: GridSearchSpec) -> dict:
-    """The spec's fields plus the fit_summary of its evidence."""
-    return {**to_dict(spec), "format_version": GRID_FORMAT_VERSION, **fit_summary(spec.evidence)}
+    """The spec's fields plus its dataset_meta and the fit_summary of its evidence."""
+    return {**to_dict(spec), "format_version": GRID_FORMAT_VERSION,
+            "dataset_meta": spec.dataset_meta, **fit_summary(spec.evidence)}
 
 
 def grid_from_dict(d: dict) -> GridSearchSpec:
-    """A spec from its fields; the fit_summary keys, derived from evidence, are ignored."""
+    """A spec from its fields; dataset_meta and the fit_summary keys, derived
+    from evidence, are ignored."""
     version = d.get("format_version") if isinstance(d, dict) else None
     if version != GRID_FORMAT_VERSION:
         raise ScheduleError(f"unsupported grid format_version {version!r}")

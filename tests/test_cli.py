@@ -151,6 +151,13 @@ class TestAnalyze:
             ])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_ascii_char_and_byte_curves_are_byte_identical(self, tmp_path):
+        src = write_pattern_file(tmp_path, pattern=b"abracadabra, cab\n", reps=3000)
+        for mode in ("char", "byte"):
+            assert main(["analyze", "--input", str(src), "--mode", mode, "--max-lag", "100",
+                         "--out", str(tmp_path / f"{mode}.csv")]) == 0
+        assert (tmp_path / "char.csv").read_bytes() == (tmp_path / "byte.csv").read_bytes()
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main([
             "analyze", "--input", str(tmp_path / "nope.txt"), "--mode", "byte",
@@ -486,8 +493,8 @@ class TestPipeline:
         # numpy.ma takes 13 ms to import in a fresh process; np.median, a bare
         # np.unique and some other numpy calls import it on first use. Byte,
         # char and pixel ids are uint8 and ranked through the byte table, word
-        # ids through the index of a wider table; char mode loads through
-        # code point tables, and reads the byte branch's ASCII letters
+        # ids through the index of a wider table; char mode loads its Greek
+        # letters through code point tables (an ASCII text takes byte mode's)
         if mode == "pixel":
             src = write_idx(tmp_path)
         else:
@@ -497,6 +504,7 @@ class TestPipeline:
                 ids[t] = ids[t - 1]  # a symbol repeats its predecessor: MI decays with lag
             src = tmp_path / "symbols.txt"  # one word or one byte per symbol
             src.write_bytes(" ".join(f"w{v}" for v in ids).encode() if mode == "word"
+                            else "".join(map(chr, ids + 0x391)).encode() if mode == "char"
                             else (ids + 65).astype(np.uint8).tobytes())
         script = f"""
 import sys

@@ -161,6 +161,20 @@ class TestLoadText:
                 assert c.sequences[0].dtype == np.min_scalar_type(len(table) - 1)
                 assert c.alphabet == tuple(table)
 
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.binary(max_size=300).map(lambda b: bytes(v & 0x7F for v in b) or b"a"))
+    def test_ascii_char_mode_takes_the_byte_table(self, tmp_path_factory, data):
+        # an all-ASCII text loads in char mode through byte mode's table,
+        # with the ids, dtype and alphabet that the code point tables give
+        p = write_bytes(tmp_path_factory.mktemp("ascii"), "t.txt", data)
+        with mock.patch.multiple(corpus_module, _BLOCK=3, _BYTE_PIECE=3):
+            ids, alphabet = corpus_module._char_ids(data)
+            with mock.patch.object(corpus_module, "_char_ids", side_effect=AssertionError):
+                c = load_text(p, "char")
+        assert c.sequences[0].dtype == ids.dtype
+        assert c.sequences[0].tolist() == [ids.tolist()]
+        assert c.alphabet == alphabet
+
     def test_byte_mode_holds_the_file_and_its_ids_only(self, tmp_path):
         # a 1 MB text of 61 byte values, one of them first seen in the last
         # block, so every block is scanned: the file and its translated ids
@@ -197,13 +211,14 @@ class TestLoadText:
         assert c.n_symbols == 500_000 and c.alphabet_size == 32
         assert peak < 3e6
 
-    def test_char_mode_holds_the_ids_once(self, tmp_path):
-        # 2M ASCII characters: the file and the uint8 ids take 2 MB each, and
-        # a block's temporaries under 1 MB; ids gathered per block and then
-        # joined would hold them twice, 2 MB more
+    @pytest.mark.parametrize("last", ["z", "\u00e9"], ids=["ascii", "non-ascii"])
+    def test_char_mode_holds_the_ids_once(self, tmp_path, last):
+        # 2M characters, ASCII but the last one or not: the file and the
+        # uint8 ids take 2 MB each, and a block's temporaries under 1 MB; ids
+        # gathered per block and then joined would hold them twice, 2 MB more
         rng = np.random.default_rng(0)
-        data = rng.choice(np.frombuffer(b"abcdefghij klmnopqrstuvwxyz", np.uint8), 2_000_000)
-        p = write_bytes(tmp_path, "t.txt", data.tobytes())
+        data = rng.choice(np.frombuffer(b"abcdefghij klmnopqrstuvwxyz", np.uint8), 1_999_999)
+        p = write_bytes(tmp_path, "t.txt", data.tobytes() + last.encode("utf-8"))
         del data
         tracemalloc.start()
         try:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import midecay
 from midecay import corpus, curve_to_csv, write_idx_images
 from midecay.cli import main
 from midecay.estimator import DecayCurve
@@ -118,6 +119,15 @@ class TestPinnedBytes:
         assert (tmp_path / "out.json").read_bytes() == (PINNED / f"{name}.grid.json").read_bytes()
 
     @pytest.mark.parametrize("name", sorted(CASES))
+    def test_grid_dataset_meta_is_derived_from_evidence(self, name, tmp_path):
+        doc = json.loads((PINNED / f"{name}.grid.json").read_bytes())
+        write_json(dict(doc, dataset_meta="other.txt;mode=char"), tmp_path / "in.json")
+        spec = read_grid_json(tmp_path / "in.json")
+        assert spec.dataset_meta == doc["dataset_meta"]
+        write_grid_json(spec, tmp_path / "out.json")
+        assert (tmp_path / "out.json").read_bytes() == (PINNED / f"{name}.grid.json").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
     def test_round_trip(self, name, tmp_path):
         write_fit_json(CASES[name], tmp_path / "f.json")
         assert read_fit_json(tmp_path / "f.json") == CASES[name]
@@ -131,6 +141,20 @@ class TestCodec:
         assert d["decay_class"] == "PowerLawPeriodic"
         assert d["periodicity"]["peak_lags"] == [28, 56]
         assert d["power"]["d_range"] == [1, 783]
+
+    def test_every_field_type_is_a_type_not_a_string(self):
+        # the codec checks each value against the field's type as it stands:
+        # a string annotation would have to be evaluated at run time first
+        classes = [obj for module in (midecay.corpus, midecay.estimator, midecay.fit,
+                                      midecay.schedule)
+                   for obj in vars(module).values()
+                   if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                   and obj.__module__ == module.__name__]
+        assert midecay.estimator._SidecarReads in classes
+        for cls in classes:
+            for f in dataclasses.fields(cls):
+                assert isinstance(f.type, (type, types.GenericAlias, types.UnionType)), \
+                    f"{cls.__name__}.{f.name}: {f.type!r}"
 
     def test_absent_key_takes_default(self):
         d = to_dict(CASES["broken"])
