@@ -276,42 +276,42 @@ def _pair_tables(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> lis
 
 
 def _gathered(groups: list[np.ndarray], k: int, a: int, lags: tuple[int, ...]) -> tuple[list, dict]:
-    """The groups indexed around rank a: blocks (flat, L, pos, vals, off) of
-    rows of length L as one flat view, the positions pos into it of the other
-    ranks vals, column by column, and off[c], how many lie in columns below
-    c; and ends, C_d for each lag d: C_d[y] counts rank y != a in columns d
-    and on. Blocks hold at most _CHUNK symbols of rows up to _CHUNK / 2 long;
-    a longer or lone row forms spans of _CHUNK, off None."""
+    """The groups indexed around rank a: blocks (flat, pos, vals, stop), the
+    rows of a block as one flat view, the positions pos into it of the ranks
+    vals != a, column by column, and stop[i], how many start a pair at lag
+    lags[i] (lie in columns below L - lags[i]); and ends, C_d for each lag d:
+    C_d[y] counts rank y != a in columns d and on. Rows of up to _CHUNK
+    symbols are indexed in the blocks _chunks yields; a longer row is one
+    block per span of _CHUNK, since its pairs may cross a span."""
     blocks, counts = [], np.zeros((len(lags) + 1) * k, np.int64)
     starts = np.arange(0, counts.size, k, dtype=np.min_scalar_type(counts.size - 1))
+    grid = np.array(lags)
 
-    def add(flat, length, pos, off):
+    def add(flat, length, col, pos):  # col: the column of each position, ascending
         pos = pos.astype(np.min_scalar_type(flat.size - 1))
         vals = np.take(flat, pos)
-        blocks.append((flat, length, pos, vals, off))
-        # a head counts the ranks in columns below its lag d_i; row i + 1 of
-        # counts takes those from the head of lag i to that of lag i + 1
-        heads = np.searchsorted(pos, lags) if off is None else off[np.minimum(lags, length)]
-        code = np.repeat(starts, np.diff(heads, prepend=0, append=vals.size))
+        # one search gives where each lag's pairs stop and the heads, the
+        # ranks in columns below each lag d_i: row i + 1 of counts takes
+        # those from the head of lag i to that of lag i + 1
+        cuts = np.searchsorted(col, np.concatenate([length - grid, grid]))
+        blocks.append((flat, pos, vals, cuts[: grid.size].astype(np.min_scalar_type(vals.size))))
+        code = np.repeat(starts, np.diff(cuts[grid.size :], prepend=0, append=vals.size))
         code += vals
         counts[...] += np.bincount(code, minlength=counts.size)
 
     for rows in groups:
-        n, length = rows.shape
-        step = _CHUNK // length
-        if n > 1 and step > 1:
-            for i in range(0, n, step):
-                block = rows[i : i + step]
-                mask = np.not_equal(block.T, a, order="C")
-                off = np.zeros(length + 1, np.min_scalar_type(block.size))
-                np.cumsum(np.count_nonzero(mask, axis=1), out=off[1:])
-                col, pos = np.divmod(np.flatnonzero(mask), block.shape[0])
+        length = rows.shape[1]
+        if length <= _CHUNK:
+            for block in _chunks(rows, 0, _CHUNK):
+                col, pos = np.divmod(np.flatnonzero(np.not_equal(block.T, a, order="C")),
+                                     block.shape[0])
                 pos *= length
                 pos += col
-                add(block.reshape(-1), length, pos, off)
+                add(block.reshape(-1), length, col, pos)
         else:
             for row, j in itertools.product(rows, range(0, length, _CHUNK)):
-                add(row, length, np.flatnonzero(row[j : j + _CHUNK] != a) + j, None)
+                pos = np.flatnonzero(row[j : j + _CHUNK] != a) + j
+                add(row, length, pos, pos)
     ends = counts.reshape(-1, k)[:0:-1].cumsum(axis=0)[::-1]  # one len(lags) x k table
     return blocks, dict(zip(lags, ends))
 
@@ -319,21 +319,20 @@ def _gathered(groups: list[np.ndarray], k: int, a: int, lags: tuple[int, ...]) -
 def _gathered_tables(groups: list[np.ndarray], index: tuple[list, dict], k: int, a: int,
                      lags: tuple[int, ...]) -> list[np.ndarray]:
     """Flat k*k pair count tables of each lag from the _gathered index of
-    the groups around rank a: rows x != a from the gathered pairs, each
-    block's for every lag while it is in cache; row a from the index's C_d,
-    as T[a, y] = C_d[y] minus the other rows' T[x, y], and T[a, a] the rest
-    of the n (L - d) pairs."""
+    the groups around rank a: rows x != a from the pairs of each block's
+    first stop[i] positions, i the lag's column, every lag while the block
+    is in cache; row a from C_d, T[a, y] = C_d[y] minus the other rows'
+    T[x, y], and T[a, a] the rest of the n (L - d) pairs."""
     blocks, ends = index
     dtype = np.min_scalar_type(k * k - 1)
     tables = [np.zeros(k * k, np.int64) for _ in lags]
-    for flat, length, pos, vals, off in blocks:
-        for d, table in zip(lags, tables):
-            if length <= d:
-                continue
-            j = int(np.searchsorted(pos, length - d)) if off is None else int(off[length - d])
-            code = np.multiply(vals[:j], k, dtype=dtype)
-            code += np.take(flat[d:], pos[:j])
-            table += np.bincount(code, minlength=k * k)
+    at = np.searchsorted(list(ends), lags)  # each lag's column of stop
+    for flat, pos, vals, stop in blocks:
+        for d, j, table in zip(lags, stop[at].tolist(), tables):
+            if j:  # else no pair at lag d starts in the block
+                code = np.multiply(vals[:j], k, dtype=dtype)
+                code += np.take(flat[d:], pos[:j])
+                table += np.bincount(code, minlength=k * k)
     for d, table in zip(lags, tables):
         square = table.reshape(k, k)
         square[a] = ends[d] - square.sum(axis=0)
@@ -400,7 +399,7 @@ def _counter(groups: list[np.ndarray], k: int, lags: tuple[int, ...]):
         if (total - int(sample[a])) * _GATHER_COST * math.sqrt(m) < total:
             index = _gathered(groups, k, a, lags=lags)
             tables = functools.partial(_gathered_tables, groups, index, k, a)
-            cost = int(sum(block[2].size for block in index[0]) * _GATHER_COST)
+            cost = int(sum(block[1].size for block in index[0]) * _GATHER_COST)
             m = max(1, min(_GATHER_LAGS, _BATCH_CELLS // (k * k)))
 
         def coded(batch):

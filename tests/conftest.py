@@ -91,6 +91,24 @@ def markov_mi(k, stay, d):
     return float(sum(pd[i, j] / k * math.log(pd[i, j] * k) for i in range(k) for j in range(k)))
 
 
+def tree_mi(k, stays, n_trees, d):
+    """Exact MI in nats at lag d of the text of tree_forest (Lin & Tegmark
+    2017). Two leaves whose lowest common ancestor is h levels up, h the bit
+    length of t XOR (t + d) within one tree, have the joint pi_x M_h[x, y]
+    of the symmetric kernel with eigenvalue prod(lambda_l^2) over the h
+    levels below it, lambda_l = stay_l - (1 - stay_l)/(K-1); a pair from two
+    trees is independent (eigenvalue 0). The lag-d table is their mixture,
+    the symmetric kernel of the mean eigenvalue."""
+    stays = np.asarray(stays, dtype=float)
+    lam = stays - (1 - stays) / (k - 1)
+    eigen = np.cumprod(lam[::-1] ** 2)  # eigen[h - 1]: the h levels above the leaves
+    t = np.arange(max(0, 2 ** stays.size - d))  # the pairs within one tree
+    heights = np.frexp(t ^ (t + d))[1]  # the bit lengths
+    mean = n_trees * float(eigen[heights - 1].sum()) / (n_trees * 2 ** stays.size - d)
+    same, other = (1 + (k - 1) * mean) / k, (1 - mean) / k
+    return same * math.log(k * same) + (k - 1) * other * math.log(k * other)
+
+
 def naive_ols(x, y):
     """Closed-form least squares, independent of the implementation."""
     n = len(x)
@@ -130,6 +148,21 @@ def markov_chain(k, stay, n_symbols, seed=0):
     jumps = np.where(rng.random(n_symbols) < stay, 0, rng.integers(1, k, n_symbols))
     jumps[0] = rng.integers(k)
     return corpus_from_lists([np.cumsum(jumps) % k], k)
+
+
+def tree_forest(k, stays, n_trees, seed=0):
+    """A seeded forest of n_trees binary trees of depth len(stays), its
+    leaves in order as one text (Lin & Tegmark 2017): each root is uniform
+    over K symbols, and a child at depth l + 1 keeps its parent's symbol
+    with probability stays[l], else jumps to one of the other K-1 uniformly.
+    Built in one np.repeat step per level."""
+    rng = np.random.default_rng(seed)
+    level = rng.integers(0, k, n_trees)
+    for stay in stays:
+        level = np.repeat(level, 2)
+        level += np.where(rng.random(level.size) < stay, 0, rng.integers(1, k, level.size))
+        level %= k
+    return corpus_from_lists([level], k)
 
 
 def make_curve(lags, mi, pairs=None, meta=None):

@@ -42,6 +42,8 @@ from tests.conftest import (
     naive_pair_counts,
     pattern_corpus,
     plan_cells,
+    tree_forest,
+    tree_mi,
 )
 
 def assert_same_csv(tmp_path, curve, other):
@@ -1026,6 +1028,48 @@ class TestKnownSource:
         assert curve.lags[strong].tolist() == list(range(1, 18))
         assert np.all(np.abs(curve.mi[strong] - exact[strong]) <= 0.1 * exact[strong])
 
+    def test_tree_mi_is_the_mixture_of_its_leaf_pairs(self):
+        # every leaf pair's joint from the product of the level kernels along
+        # its path through the lowest common ancestor, uniform across trees,
+        # averaged over the pairs: a small forest whose stay varies by level
+        k, stays, n_trees = 3, (0.6, 0.95, 0.7, 0.85), 3
+        kernels = []
+        for stay in stays:
+            p = np.full((k, k), (1 - stay) / (k - 1))
+            np.fill_diagonal(p, stay)
+            kernels.append(p)
+        leaves = n_trees * 2 ** len(stays)
+        for d in (1, 2, 3, 5, 8, 15, 16, 17, 40):
+            joint = np.zeros((k, k))
+            for t in range(leaves - d):
+                up = np.eye(k)
+                for level in range(len(stays) - 1, -1, -1):  # from the leaves up to the root
+                    up = up @ kernels[level]
+                    if (t >> (len(stays) - level)) == ((t + d) >> (len(stays) - level)):
+                        break
+                same_tree = (t >> len(stays)) == ((t + d) >> len(stays))
+                joint += up @ up.T / k if same_tree else np.full((k, k), 1 / k**2)
+            joint /= leaves - d
+            exact = float(np.sum(joint * np.log(joint * k * k)))
+            assert abs(tree_mi(k, stays, n_trees, d) - exact) < 1e-12
+
+    def test_tree_forest_curve_follows_its_exact_mi(self):
+        # 64 trees of depth 14, stay 0.9, K = 4 (about 1M symbols; exact MI
+        # 0.448 nats at lag 1, 0.016 at 64): at lags 1-64 the plug-in error
+        # was at most 1.9-6.7% per seed over seeds 0-9 (the few samples of
+        # the top levels move whole stretches of the curve together), and
+        # the mean over the seeds within 0.9% of the exact MI at every lag.
+        # The verdict is not checked here.
+        stays, grid = (0.9,) * 14, LagGrid(tuple(range(1, 65)))
+        exact = np.array([tree_mi(4, stays, 64, d) for d in grid.lags])
+        errors = []
+        for seed in range(10):
+            curve = decay_curve(tree_forest(4, stays, 64, seed), grid, ONE_PAIR)
+            assert curve.lags.tolist() == list(grid.lags)
+            errors.append(curve.mi / exact - 1)
+        assert np.all(np.abs(errors) <= 0.1)
+        assert np.all(np.abs(np.mean(errors, axis=0)) <= 0.025)
+
 
 def skewed(rng, n, k, background, share):
     """n ids below k, each the background id with probability 1 - share."""
@@ -1134,10 +1178,11 @@ class TestGatheredSource:
                 assert [t.tolist() for t in tables] == [t.tolist() for t in expected]
 
     def test_gathered_index_is_compact(self):
-        # 32-bit positions and one byte of rank per gathered symbol, and
-        # per-column offsets, not columns; C_d, the count of each rank in
-        # columns d and on, is one len(grid) x K' table, counted without a
-        # table of each column's ranks (L x K')
+        # 32-bit positions and one byte of rank per gathered symbol, and per
+        # block one small count per lag, where that lag's pairs stop, not one
+        # per column; C_d, the count of each rank in columns d and on, is one
+        # len(grid) x K' table, counted without a table of each column's
+        # ranks (L x K')
         images = skewed(np.random.default_rng(32), 2000 * 784, 32, 0, 0.15).reshape(2000, 784)
         groups, symbols = estimator._ranked_groups(
             Corpus(sequences=tuple(images.astype(np.uint8)), alphabet_size=256, mode="pixel"))
@@ -1159,10 +1204,22 @@ class TestGatheredSource:
             estimator._counter(groups, symbols.size, grid.lags)
         (blocks, ends), = index
         gathered = np.count_nonzero(images)
-        assert {len(b) for b in blocks} == {5}
-        assert sum(b[2].size for b in blocks) == gathered
-        stored = sum(b[2].nbytes + b[3].nbytes + b[4].nbytes for b in blocks)
+        assert {len(b) for b in blocks} == {4}
+        assert {(b[1].dtype.name, b[2].dtype.name) for b in blocks} == {("uint32", "uint8")}
+        assert {b[3].shape for b in blocks} == {(len(grid.lags),)}
+        assert sum(b[1].size for b in blocks) == gathered
+        stored = sum(b[1].nbytes + b[2].nbytes + b[3].nbytes for b in blocks)
         assert stored < 5.1 * gathered
+        # each block holds the next _CHUNK // 784 whole images (their ranks
+        # are their ids), and stop[i] counts its gathered symbols in the
+        # columns that start a pair at lag d, the grid's lag i
+        step = estimator._CHUNK // 784
+        assert len(blocks) == -(-2000 // step)
+        for i, (flat, _, _, stop) in enumerate(blocks):
+            rows = images[i * step : (i + 1) * step]
+            assert np.array_equal(flat.reshape(rows.shape), rows)
+            for d in (1, 64, 783):
+                assert stop[grid.lags.index(d)] == np.count_nonzero(rows[:, : 784 - d])
         table = ends[1].base
         assert list(ends) == list(grid.lags) and all(e.base is table for e in ends.values())
         assert table.shape == (len(grid.lags), 32)
