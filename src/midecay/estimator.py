@@ -158,7 +158,8 @@ def default_lag_grid(max_lag: int) -> LagGrid:
 
 
 def _chunks(rows: np.ndarray, d: int, size: int):
-    """Blocks of rows that hold at most size pairs at lag d (at d = 0, symbols).
+    """The indices (row slice, column slice) of blocks of rows that hold at
+    most size pairs at lag d (at d = 0, symbols).
 
     A block is whole rows, or a column span of one row longer than size, and
     carries the d columns beyond its last pair.
@@ -166,7 +167,7 @@ def _chunks(rows: np.ndarray, d: int, size: int):
     cols = rows.shape[1] - d
     step, width = max(1, size // cols), min(cols, size)
     for i, j in itertools.product(range(0, rows.shape[0], step), range(0, cols, width)):
-        yield rows[i : i + step, j : j + width + d]
+        yield slice(i, i + step), slice(j, j + width + d)
 
 
 def _ranked_groups(corpus: Corpus) -> tuple[list[np.ndarray], np.ndarray]:
@@ -179,7 +180,7 @@ def _ranked_groups(corpus: Corpus) -> tuple[list[np.ndarray], np.ndarray]:
     through a 256-entry byte table.
     """
     groups = list(corpus.sequences)
-    chunks = itertools.chain(*(_chunks(rows, 0, _CHUNK) for rows in groups))
+    chunks = (rows[ix] for rows in groups for ix in _chunks(rows, 0, _CHUNK))
     byte = groups[0].dtype == np.uint8  # the corpus stores every group in one dtype
     seen = np.zeros(corpus.alphabet_size, dtype=bool)
     if byte:
@@ -196,13 +197,14 @@ def _ranked_groups(corpus: Corpus) -> tuple[list[np.ndarray], np.ndarray]:
     lut = np.zeros(256 if byte else symbols[-1] + 1, dtype=np.min_scalar_type(symbols.size - 1))
     lut[symbols] = np.arange(symbols.size)
     for n, rows in enumerate(groups):
-        groups[n] = np.empty(rows.shape, dtype=lut.dtype)
-        for chunk, out in zip(_chunks(rows, 0, _CHUNK), _chunks(groups[n], 0, _CHUNK)):
+        out = groups[n] = np.empty(rows.shape, dtype=lut.dtype)
+        for ix in _chunks(rows, 0, _CHUNK):
+            chunk = rows[ix]
             if byte:
-                out[...] = np.frombuffer(chunk.tobytes().translate(lut),
-                                         dtype=np.uint8).reshape(chunk.shape)
+                out[ix] = np.frombuffer(chunk.tobytes().translate(lut),
+                                        dtype=np.uint8).reshape(chunk.shape)
             else:
-                out[...] = lut[chunk]
+                out[ix] = lut[chunk]
     return groups, symbols
 
 
@@ -219,7 +221,8 @@ def _codes(groups: list[np.ndarray], k: int, lags: tuple[int, ...], size: int, d
     for rows in groups:
         if rows.shape[1] <= last:
             continue
-        for chunk in _chunks(rows, last, size):
+        for ix in _chunks(rows, last, size):
+            chunk = rows[ix]
             width = chunk.shape[1] - last
             if used + chunk.shape[0] * width > buf.size:
                 yield buf[:used]
@@ -277,41 +280,34 @@ def _pair_tables(groups: list[np.ndarray], k: int, lags: tuple[int, ...]) -> lis
 
 def _gathered(groups: list[np.ndarray], k: int, a: int, lags: tuple[int, ...]) -> tuple[list, dict]:
     """The groups indexed around rank a: blocks (flat, pos, vals, stop), the
-    rows of a block as one flat view, the positions pos into it of the ranks
-    vals != a, column by column, and stop[i], how many start a pair at lag
-    lags[i] (lie in columns below L - lags[i]); and ends, C_d for each lag d:
-    C_d[y] counts rank y != a in columns d and on. Rows of up to _CHUNK
-    symbols are indexed in the blocks _chunks yields; a longer row is one
-    block per span of _CHUNK, since its pairs may cross a span."""
+    rows of a block as one flat view from its first column to their ends,
+    the positions pos into it of the ranks vals != a, column by column, and
+    stop[i], how many start a pair at lag lags[i] (lie in columns below
+    L - lags[i]); and ends, C_d for each lag d: C_d[y] counts rank y != a in
+    columns d and on. The blocks are those _chunks yields at _CHUNK symbols:
+    a row longer than that is one block per span, whose pairs reach past it."""
     blocks, counts = [], np.zeros((len(lags) + 1) * k, np.int64)
     starts = np.arange(0, counts.size, k, dtype=np.min_scalar_type(counts.size - 1))
     grid = np.array(lags)
-
-    def add(flat, length, col, pos):  # col: the column of each position, ascending
-        pos = pos.astype(np.min_scalar_type(flat.size - 1))
-        vals = np.take(flat, pos)
-        # one search gives where each lag's pairs stop and the heads, the
-        # ranks in columns below each lag d_i: row i + 1 of counts takes
-        # those from the head of lag i to that of lag i + 1
-        cuts = np.searchsorted(col, np.concatenate([length - grid, grid]))
-        blocks.append((flat, pos, vals, cuts[: grid.size].astype(np.min_scalar_type(vals.size))))
-        code = np.repeat(starts, np.diff(cuts[grid.size :], prepend=0, append=vals.size))
-        code += vals
-        counts[...] += np.bincount(code, minlength=counts.size)
-
     for rows in groups:
         length = rows.shape[1]
-        if length <= _CHUNK:
-            for block in _chunks(rows, 0, _CHUNK):
-                col, pos = np.divmod(np.flatnonzero(np.not_equal(block.T, a, order="C")),
-                                     block.shape[0])
-                pos *= length
-                pos += col
-                add(block.reshape(-1), length, col, pos)
-        else:
-            for row, j in itertools.product(rows, range(0, length, _CHUNK)):
-                pos = np.flatnonzero(row[j : j + _CHUNK] != a) + j
-                add(row, length, pos, pos)
+        for lines, cols in _chunks(rows, 0, _CHUNK):
+            block, flat = rows[lines, cols], rows[lines, cols.start :].reshape(-1)
+            col, pos = np.divmod(np.flatnonzero(np.not_equal(block.T, a, order="C")),
+                                 block.shape[0])
+            pos *= length - cols.start
+            pos += col
+            pos = pos.astype(np.min_scalar_type(flat.size - 1))
+            vals = np.take(flat, pos)
+            # one search gives where each lag's pairs stop and the heads, the
+            # ranks in columns below each lag d_i: row i + 1 of counts takes
+            # those from the head of lag i to that of lag i + 1
+            cuts = np.searchsorted(col, np.concatenate([length - grid, grid]) - cols.start)
+            stop = cuts[: grid.size].astype(np.min_scalar_type(vals.size))
+            blocks.append((flat, pos, vals, stop))
+            code = np.repeat(starts, np.diff(cuts[grid.size :], prepend=0, append=vals.size))
+            code += vals
+            counts += np.bincount(code, minlength=counts.size)
     ends = counts.reshape(-1, k)[:0:-1].cumsum(axis=0)[::-1]  # one len(lags) x k table
     return blocks, dict(zip(lags, ends))
 
@@ -336,15 +332,15 @@ def _gathered_tables(groups: list[np.ndarray], index: tuple[list, dict], k: int,
     for d, table in zip(lags, tables):
         square = table.reshape(k, k)
         square[a] = ends[d] - square.sum(axis=0)
-        square[a, a] = 0
-        square[a, a] = sum(rows[:, d:].size for rows in groups) - table.sum()
+        # T[a, a] holds minus its column's other cells, which the sum counts too
+        square[a, a] += sum(rows[:, d:].size for rows in groups) - table.sum()
     return tables
 
 
-def _unique_cells(groups: list[np.ndarray], k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted pair codes x*k + y at lag d and their counts, over blocks of
-    _SPARSE_CHUNK codes, each sorted in place in the reused code buffer and
-    run-length coded."""
+def _unique_cells(groups: list[np.ndarray], k: int, d: int) -> list[np.ndarray]:
+    """The cells [xs, ys, counts] of lag d, sorted by (x, y): the pair codes
+    x*k + y in blocks of _SPARSE_CHUNK codes, each sorted in place in the
+    reused code buffer and run-length coded, and the blocks' cells merged."""
     # not uint64: merged with int64 it would turn to float64, and older
     # NumPy's bincount rejects it
     dtype = np.min_scalar_type(k * k - 1) if k <= 1 << 16 else np.int64
@@ -362,11 +358,18 @@ def _unique_cells(groups: list[np.ndarray], k: int, d: int) -> tuple[np.ndarray,
         np.subtract(ends[1:], ends[:-1], out=count[1:])
         counts.append(count)
     if len(codes) == 1:
-        return codes[0], counts[0]
-    # merge the chunks' cells; the empty int64 array stands in for no chunks
-    none = np.zeros(0, dtype=np.int64)
-    code, inverse = np.unique(np.concatenate([none, *codes]), return_inverse=True)
-    return code, np.bincount(inverse, weights=np.concatenate([none, *counts])).astype(np.int64)
+        code, count = codes[0], counts[0]
+    else:  # merge the chunks' cells; the empty int64 array stands in for no chunks
+        none = np.zeros(0, dtype=np.int64)
+        code, inverse = np.unique(np.concatenate([none, *codes]), return_inverse=True)
+        count = np.bincount(inverse, weights=np.concatenate([none, *counts])).astype(np.int64)
+    # a scalar divisor in the code's own dtype takes NumPy's fast integer
+    # division; intp ranks: _mi_point's bincounts and gathers would each
+    # convert narrower ones
+    xs = (code // k).astype(np.intp, copy=False)
+    ys = xs * -k
+    ys += code
+    return [xs, ys, count]
 
 
 def _counter(groups: list[np.ndarray], k: int, lags: tuple[int, ...]):
@@ -380,43 +383,30 @@ def _counter(groups: list[np.ndarray], k: int, lags: tuple[int, ...]):
     per batch. Else a batch's lags are counted together into dense tables,
     from the rows, m the most with k^(m+1) <= _BATCH_CELLS (k = 1 as 2), or,
     when few symbols differ from the sampled mode a, from the positions of
-    the others.
+    the others; a table's cells are the nonzero ones of its k x k view.
     """
     cost = sum(rows.size for rows in groups)
     if k * k > DENSE_JOINT_LIMIT:
-        def coded(batch):
+        def count(batch):
             return [_unique_cells(groups, k, d) for d in batch]
-        m, cost = 1, cost * _SPARSE_COST
-    else:
-        m = 1
-        while max(k, 2) ** (m + 2) <= _BATCH_CELLS:
-            m += 1
-        tables = functools.partial(_pair_tables, groups, k)
-        sample = sum(np.bincount(rows.flat[::_GATHER_SAMPLE], minlength=k) for rows in groups)
-        # Python ints, so a corpus of one symbol compares 0 * cost without a
-        # numpy warning
-        a, total = int(sample.argmax()), int(sample.sum())
-        if (total - int(sample[a])) * _GATHER_COST * math.sqrt(m) < total:
-            index = _gathered(groups, k, a, lags=lags)
-            tables = functools.partial(_gathered_tables, groups, index, k, a)
-            cost = int(sum(block[1].size for block in index[0]) * _GATHER_COST)
-            m = max(1, min(_GATHER_LAGS, _BATCH_CELLS // (k * k)))
-
-        def coded(batch):
-            return [(code, table[code])
-                    for table in tables(batch) for code in [np.flatnonzero(table)]]
+        return count, 1, cost * _SPARSE_COST
+    m = 1
+    while max(k, 2) ** (m + 2) <= _BATCH_CELLS:
+        m += 1
+    tables = functools.partial(_pair_tables, groups, k)
+    sample = sum(np.bincount(rows.flat[::_GATHER_SAMPLE], minlength=k) for rows in groups)
+    # Python ints, so a corpus of one symbol compares 0 * cost without a
+    # numpy warning
+    a, total = int(sample.argmax()), int(sample.sum())
+    if (total - int(sample[a])) * _GATHER_COST * math.sqrt(m) < total:
+        index = _gathered(groups, k, a, lags=lags)
+        tables = functools.partial(_gathered_tables, groups, index, k, a)
+        cost = int(sum(block[1].size for block in index[0]) * _GATHER_COST)
+        m = max(1, min(_GATHER_LAGS, _BATCH_CELLS // (k * k)))
 
     def count(batch):
-        cells = []
-        for code, cs in coded(batch):
-            # a scalar divisor in the code's own dtype takes NumPy's fast integer
-            # division; intp ranks: _mi_point's bincounts and gathers would each
-            # convert narrower ones
-            xs = (code // k).astype(np.intp, copy=False)
-            ys = xs * -k
-            ys += code
-            cells.append([xs, ys, cs])
-        return cells
+        squares = [table.reshape(k, k) for table in tables(batch)]
+        return [[*cell, square[cell]] for square in squares for cell in [np.nonzero(square)]]
 
     return count, m, cost
 
@@ -545,7 +535,7 @@ def decay_curve(corpus: Corpus, grid: LagGrid, config: EstimatorConfig | None = 
     kept = [p for p in points if p[2] is not None]
     skipped = [{"lag": d, "pair_count": total} for d, total, mi, _ in points if mi is None]
     if not kept:
-        if skipped and all(s["pair_count"] == 0 for s in skipped):
+        if all(s["pair_count"] == 0 for s in skipped):
             raise EmptyLagError("every requested lag has zero pairs")
         raise EstimationError(
             f"no lag reached min_pair_count={config.min_pair_count}"

@@ -513,7 +513,7 @@ class TestDecayCurve:
             finally:
                 tracemalloc.stop()
 
-    def test_image_stack_relabelled_in_place(self):
+    def test_image_stack_ranked_into_a_new_array(self):
         # 2,000 images of 784 pixels take 1.57 MB as uint8, 12.5 MB as int64.
         # The corpus stores rows of one length as one uint8 group; with 32
         # levels ranking writes one rank array, never the corpus's group
@@ -1070,6 +1070,43 @@ class TestKnownSource:
         assert np.all(np.abs(errors) <= 0.1)
         assert np.all(np.abs(np.mean(errors, axis=0)) <= 0.025)
 
+    @pytest.mark.parametrize("quarter", [1, 2, 3])
+    def test_wrapped_text_at_its_shift_counts_the_circular_pairs(self, quarter):
+        # x + x[:s] at lag s pairs x_t with x_{(t+s) mod N}: its N pairs are
+        # the circular pairs of x at shift s, counted here with np.unique
+        (x,) = markov_chain(4, 0.9, 200_000).sequences[0]
+        n = x.size
+        s = quarter * n // 4
+        curve = decay_curve(corpus_from_lists([np.concatenate([x, x[:s]])], 4), LagGrid((s,)),
+                            ONE_PAIR)
+        codes, counts = np.unique(x.astype(np.int64) * 4 + np.roll(x, -s), return_counts=True)
+        circular = {(code // 4, code % 4): c for code, c in zip(codes.tolist(), counts.tolist())}
+        assert curve.pairs.tolist() == [n]
+        assert abs(curve.mi[0] - naive_mi(circular)) < 1e-12
+
+
+class TestChunks:
+    # a stack of rows shorter than size, a lone row, and rows longer than size
+    @pytest.mark.parametrize("shape", [(10, 9), (1, 12), (3, 50)],
+                             ids=["stack", "lone-row", "long-rows"])
+    @pytest.mark.parametrize("d", [0, 1, 7])
+    def test_blocks_are_indices_that_cover_every_pair_once(self, shape, d):
+        size, (n, length) = 16, shape
+        rows = np.arange(n * length).reshape(shape)
+        covered = np.zeros((n, length - d), dtype=np.int64)
+        for ix in estimator._chunks(rows, d, size):
+            assert isinstance(ix, tuple) and len(ix) == 2
+            assert all(isinstance(part, slice) for part in ix)
+            (lines, cols), block = ix, rows[ix]
+            # all but the last d columns start a pair, which lies in the
+            # block; a block without its d carried columns would leave
+            # pairs uncovered
+            own = block.shape[1] - d
+            assert own > 0 and cols.start + own <= length - d
+            assert block[:, :own].size <= size
+            covered[lines, cols.start : cols.start + own] += 1
+        assert np.all(covered == 1)
+
 
 def skewed(rng, n, k, background, share):
     """n ids below k, each the background id with probability 1 - share."""
@@ -1176,6 +1213,36 @@ class TestGatheredSource:
                 for table, (xs, ys, cs) in zip(tables, cells):
                     table[xs * 6 + ys] = cs
                 assert [t.tolist() for t in tables] == [t.tolist() for t in expected]
+
+    def test_strided_long_row_is_indexed_through_views(self):
+        # every 2nd byte of a buffer as one (1, N) row of 6 spans of _CHUNK,
+        # which the corpus keeps and ranking returns as it is (all 16 symbols
+        # occur): each span's flat view reads the row from the span's first
+        # column, so no span copies it, and the curve is the oracle's
+        n, index, real = 6_000, [], estimator._gathered
+        ids = skewed(np.random.default_rng(37), n, 16, background=5, share=0.15)
+        buffer = np.zeros(2 * n, dtype=np.uint8)
+        row = buffer[::2].reshape(1, n)
+        row[0] = ids
+        c = Corpus(sequences=(row,), alphabet_size=16, mode="byte")
+        grid = LagGrid((1, 2, 7, 999, 1000, 1001, 2500, 5999))
+
+        def gather(*args, **kwargs):
+            index.append(real(*args, **kwargs))
+            return index[-1]
+
+        with mock.patch.object(estimator, "_CHUNK", 1_000), \
+                mock.patch.object(estimator, "_GATHER_COST", 0.0), \
+                mock.patch.object(estimator, "_gathered", gather):
+            curve = decay_curve(c, grid, ONE_PAIR)
+        (blocks, _), = index
+        assert len(blocks) == 6
+        assert all(np.shares_memory(flat, buffer) for flat, *_ in blocks)
+        joints = [naive_pair_counts([ids], d) for d in grid.lags]
+        assert curve.lags.tolist() == list(grid.lags)
+        for (_, mi, pairs), joint in zip(curve.points(), joints):
+            assert pairs == sum(joint.values())
+            assert abs(mi - naive_mi(joint)) < 1e-12
 
     def test_gathered_index_is_compact(self):
         # 32-bit positions and one byte of rank per gathered symbol, and per
