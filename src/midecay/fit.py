@@ -299,10 +299,12 @@ def _dense_prefix(curve: DecayCurve) -> int:
 def detect_periodicity(curve: DecayCurve) -> PeriodicitySignature | None:
     """Find regularly spaced MI peaks on the dense integer-lag prefix.
 
-    Peaks are sought on detrended MI (residual ratio after a power-law fit
-    over the prefix): a peak must exceed both neighbors by at least
-    PERIOD_PROMINENCE relative height. Returns None unless >= 2 peaks exist
-    with spacing constant within +/-1.
+    Peaks are sought on the residual of ln MI from the power law fitted over
+    the prefix: a peak exceeds both neighbors by at least
+    ln(1 + PERIOD_PROMINENCE), and MI 0 (ln MI = -inf) is never one. Two
+    adjacent lags cannot each exceed the other, so peaks are at least 2
+    apart. Returns None unless >= 2 peaks exist with spacing constant within
+    +/-1.
     """
     n = _dense_prefix(curve)
     if n < 8:
@@ -311,22 +313,14 @@ def detect_periodicity(curve: DecayCurve) -> PeriodicitySignature | None:
         base = fit_power_law(curve, (1, n))
     except FitError:
         return None
-    # the prefix lags are 1..n; math.log, as PowerLawFit.log_mi_at takes it:
-    # np.log differs from it in the last bit on some integers
-    log_d = np.fromiter(map(math.log, range(1, n + 1)), np.float64, n)
-    with np.errstate(all="ignore"):  # a baseline that underflows to 0 reads as ratio 0
-        baseline = np.exp(base.log_intercept + base.slope * log_d)
-        ratio = np.where(baseline > 0, curve.mi[:n] / baseline, 0.0)
-    mid = ratio[1:-1]
-    peaks = (np.flatnonzero(
-        (mid >= (1.0 + PERIOD_PROMINENCE) * np.maximum(ratio[:-2], ratio[2:])) & (mid > 0)
-    ) + 2).tolist()  # ratio[i] is lag i + 1
+    with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 = -inf; -inf - -inf is NaN
+        resid = np.log(curve.mi[:n]) - [base.log_mi_at(d) for d in range(1, n + 1)]
+        rise = resid[1:-1] - np.maximum(resid[:-2], resid[2:])  # rise[i] is lag i + 2
+    peaks = (np.flatnonzero(rise >= math.log1p(PERIOD_PROMINENCE)) + 2).tolist()
     if len(peaks) < 2:
         return None
     diffs = np.diff(peaks)
     period = int(np.bincount(diffs).argmax())
-    if period < 2:
-        return None
     if np.any(np.abs(diffs - period) > 1):
         return None
     return PeriodicitySignature(period, tuple(peaks), PERIOD_PROMINENCE)

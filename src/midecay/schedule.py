@@ -105,23 +105,30 @@ def standard_dilations(n_layers: int) -> DilationSchedule:
     )
 
 
+def _doubled(head, d_max: int) -> tuple[int, ...]:
+    """head, then the doublings of its last dilation below d_max, then d_max
+    (nothing is added to a head that ends at d_max)."""
+    dil = list(head)
+    while dil[-1] < d_max:
+        dil.append(min(2 * dil[-1], d_max))
+    return tuple(dil)
+
+
 def capped_standard_dilations(n_layers: int, d_max: int) -> DilationSchedule:
     """Doubling progression whose last dilation is clamped to d_max.
 
-    Powers of two >= d_max are dropped and d_max terminates the schedule, so
-    the layer count may come out below n_layers.
+    When 2^(n_layers-1) <= d_max this is the standard progression; otherwise
+    it is the powers of two below d_max, then d_max, so the layer count may
+    come out below n_layers.
     """
     if n_layers < 1:
         raise ScheduleError("n_layers must be >= 1")
     if d_max < 1:
         raise ScheduleError("d_max must be >= 1")
-    # only powers up to d_max, which has bit_length() of them
-    powers = [2**i for i in range(min(n_layers, int(d_max).bit_length()))]
-    if len(powers) == n_layers:
+    if n_layers <= int(d_max).bit_length():  # 2**(n_layers - 1) <= d_max
         return standard_dilations(n_layers)
-    kept = [p for p in powers if p < d_max]
     return DilationSchedule(
-        dilations=tuple(kept + [d_max]),
+        dilations=_doubled([1], d_max),
         origin=ORIGIN_STANDARD,
         rationale=f"standard progression capped at max dilation {d_max}",
     )
@@ -209,15 +216,8 @@ def intercept_dilations(fit: ClassifiedFit, n_layers: int, d_max: int) -> Dilati
 
 
 def _hybrid_dense_then_standard(break_d: int, d_max: int) -> DilationSchedule:
-    dil = list(range(1, min(break_d, d_max) + 1))
-    v = dil[-1] * 2
-    while v < d_max:
-        dil.append(v)
-        v *= 2
-    if dil[-1] < d_max:
-        dil.append(d_max)
     return DilationSchedule(
-        dilations=tuple(dil),
+        dilations=_doubled(range(1, min(break_d, d_max) + 1), d_max),
         origin=ORIGIN_CURVE_FITTED,
         rationale=f"unit steps up to the break at {break_d}, then doubling to {d_max}",
     )
@@ -228,10 +228,11 @@ def _hybrid_standard_then_sparse(break_d: int, d_max: int) -> DilationSchedule:
     h = head[-1]
     if d_max <= h:
         return DilationSchedule(
-            dilations=capped_standard_dilations(len(head), d_max).dilations,
+            dilations=_doubled([1], d_max),
             origin=ORIGIN_CURVE_FITTED,
             rationale=f"standard head capped at {d_max}",
         )
+    # d_max / h rounds to 1.0 at h = 2**62, d_max = h + 1: one step, not zero
     steps = max(1, math.ceil(math.log2(d_max / h) / 2))
     ratio = (d_max / h) ** (1.0 / steps)
     targets = [float(v) for v in head] + [h * ratio**j for j in range(1, steps + 1)]

@@ -105,7 +105,21 @@ def tree_mi(k, stays, n_trees, d):
     t = np.arange(max(0, 2 ** stays.size - d))  # the pairs within one tree
     heights = np.frexp(t ^ (t + d))[1]  # the bit lengths
     mean = n_trees * float(eigen[heights - 1].sum()) / (n_trees * 2 ** stays.size - d)
-    same, other = (1 + (k - 1) * mean) / k, (1 - mean) / k
+    return kernel_mi(k, mean)
+
+
+def interleaved_copy_mi(k, p, q, d):
+    """Exact MI in nats at lag d of interleaved_copy: d = m p pairs two
+    symbols of one chain m copy steps apart, the symmetric kernel with
+    eigenvalue q^m; every other lag pairs two independent chains."""
+    return kernel_mi(k, q ** (d // p)) if d % p == 0 else 0.0
+
+
+def kernel_mi(k, eigen):
+    """MI in nats of the symmetric K-state kernel with the given eigenvalue
+    under the uniform marginal: P(same) = (1 + (K-1) eigen)/K, each other
+    state (1 - eigen)/K."""
+    same, other = (1 + (k - 1) * eigen) / k, (1 - eigen) / k
     return same * math.log(k * same) + (k - 1) * other * math.log(k * other)
 
 
@@ -148,6 +162,21 @@ def markov_chain(k, stay, n_symbols, seed=0):
     jumps = np.where(rng.random(n_symbols) < stay, 0, rng.integers(1, k, n_symbols))
     jumps[0] = rng.integers(k)
     return corpus_from_lists([np.cumsum(jumps) % k], k)
+
+
+def interleaved_copy(k, p, q, n, seed=0):
+    """A seeded period-p source of n symbols: each copies the symbol p
+    positions back with probability q, else is drawn uniformly from K
+    symbols, as the first p are. Its p residue classes are independent
+    chains, so a symbol is the draw of the last fresh position of its class
+    at or before it: a running maximum down each column of the positions
+    laid out p to a row."""
+    rng = np.random.default_rng(seed)
+    rows = -(-n // p)
+    pos = np.arange(rows * p)
+    fresh = (pos < p) | (rng.random(pos.size) >= q)
+    source = np.maximum.accumulate(np.where(fresh, pos, 0).reshape(rows, p), axis=0)
+    return corpus_from_lists([rng.integers(0, k, pos.size)[source.ravel()[:n]]], k)
 
 
 def tree_forest(k, stays, n_trees, seed=0):

@@ -387,7 +387,9 @@ class TestPeriodicity:
         return n
 
     def loop_periodicity(self, curve):
-        """detect_periodicity as a per-lag loop, the reference for the array form."""
+        """The ratio rule as a per-lag loop: MI over exp of the prefix fit, at
+        least 1.2 times the larger neighbour's; the reference for
+        detect_periodicity's log residuals."""
         n = self.loop_prefix(curve)
         if n < 8:
             return None
@@ -411,7 +413,7 @@ class TestPeriodicity:
     def test_matches_per_lag_loop(self):
         # power laws with bumps every `period` lags, noise, zero points, rounded
         # ties and gaps that end the dense prefix; results must be equal, as
-        # the float operations are the same
+        # no baseline here underflows
         rng = np.random.default_rng(23)
         found = 0
         for _ in range(400):
@@ -431,6 +433,42 @@ class TestPeriodicity:
             assert sig == self.loop_periodicity(curve)
             found += sig is not None
         assert found > 50
+
+
+    def test_matches_the_ratio_rule_on_seeded_curves(self):
+        # lengths 8-79, slopes -0.2 to -2, log-normal noise of sd 0.01-0.5,
+        # half of them with bumps of period 2-14; every baseline stays above
+        # 1e-300, so the ratio rule reads no underflow
+        rng = np.random.default_rng(29)
+        found = 0
+        for _ in range(2000):
+            n = int(rng.integers(8, 80))
+            d = np.arange(1, n + 1)
+            mi = d ** -rng.uniform(0.2, 2) * np.exp(rng.normal(0, rng.uniform(0.01, 0.5), n))
+            if rng.random() < 0.5:
+                mi *= 1 + rng.uniform(0.2, 2) * (d % int(rng.integers(2, 15)) == 0)
+            curve = make_curve(d, mi)
+            base = fit_power_law(curve)
+            assert min(base.log_mi_at(1), base.log_mi_at(n)) > math.log(1e-300)
+            sig = detect_periodicity(curve)
+            assert sig == self.loop_periodicity(curve)
+            found += sig is not None
+        assert found > 200
+
+    def test_baseline_underflow_is_not_a_peak(self):
+        # the prefix fit's exp underflows at the lags of MI 1e-300 and 5e-324;
+        # their log residuals leave the ends of the first two plateaus as peaks
+        mi = [1.0] * 4 + [1e-300] * 4 + [5e-324] * 12
+        curve = make_curve(np.arange(1, 21), mi, pairs=np.full(20, 1000))
+        assert detect_periodicity(curve) == PeriodicitySignature(4, (4, 8), 0.2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0]) | st.floats(1e-12, 1.0),
+                    min_size=8, max_size=60))
+    def test_peaks_are_never_adjacent(self, mi):
+        # a peak exceeds both neighbours, so the spacing of 1 cannot occur
+        sig = detect_periodicity(make_curve(np.arange(1, len(mi) + 1), mi))
+        assert sig is None or min(np.diff(sig.peak_lags)) >= 2
 
 
 class TestNoiseCrossing:

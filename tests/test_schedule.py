@@ -193,6 +193,80 @@ class TestStandardDilations:
         assert capped_standard_dilations(64, 2**63 - 1).dilations[-2:] == (2**62, 2**63 - 1)
 
 
+# 2**k - 1, 2**k and 2**k + 1 for k up to 62, and 2**63 - 1: the edges of
+# every doubling
+_DOUBLING_EDGES = sorted({2**k + e for k in range(63) for e in (-1, 0, 1)} - {0} | {2**63 - 1})
+
+
+def _capped_reference(n_layers, d_max):
+    """capped_standard_dilations as a list of powers and a filter."""
+    powers = [2**i for i in range(min(n_layers, int(d_max).bit_length()))]
+    if len(powers) == n_layers:
+        return standard_dilations(n_layers)
+    kept = [p for p in powers if p < d_max]
+    return DilationSchedule(tuple(kept + [d_max]), "standard",
+                            f"standard progression capped at max dilation {d_max}")
+
+
+def _dense_then_standard_reference(break_d, d_max):
+    """The unit-step hybrid's dilations, doubling in a loop."""
+    dil = list(range(1, min(break_d, d_max) + 1))
+    v = dil[-1] * 2
+    while v < d_max:
+        dil.append(v)
+        v *= 2
+    if dil[-1] < d_max:
+        dil.append(d_max)
+    return tuple(dil)
+
+
+def _standard_then_sparse_reference(break_d, d_max):
+    """The sparse hybrid's dilations, its capped head from _capped_reference."""
+    head = [2**i for i in range(int(break_d).bit_length())]
+    h = head[-1]
+    if d_max <= h:
+        return _capped_reference(len(head), d_max).dilations
+    steps = max(1, math.ceil(math.log2(d_max / h) / 2))
+    ratio = (d_max / h) ** (1.0 / steps)
+    targets = [float(v) for v in head] + [h * ratio**j for j in range(1, steps + 1)]
+    return tuple(schedule._integerize(targets, d_max))
+
+
+class TestDoublingRule:
+    """The three builders that double up to a max dilation, against the
+    per-builder formulas they replaced, at the edges of every doubling."""
+
+    def test_capped_standard_matches_its_reference(self):
+        # the layer counts at which the standard progression meets d_max, and
+        # the extremes
+        for d_max in _DOUBLING_EDGES:
+            bits = d_max.bit_length()
+            for n_layers in {1, bits - 1, bits, bits + 1, 64} - {0}:
+                assert capped_standard_dilations(n_layers, d_max) == _capped_reference(n_layers, d_max)
+
+    def test_unit_step_hybrid_matches_its_reference(self):
+        # one unit step per lag up to the smaller of the two: kept short
+        for break_d in _DOUBLING_EDGES:
+            for d_max in _DOUBLING_EDGES:
+                if min(break_d, d_max) <= 65:
+                    assert (_hybrid_dense_then_standard(break_d, d_max).dilations
+                            == _dense_then_standard_reference(break_d, d_max))
+
+    def test_sparse_hybrid_matches_its_reference(self):
+        # the break acts through its head, the powers up to it: every pair
+        # whose bit lengths differ by at most 2 meets, passes or falls short
+        # of the head by up to two doublings
+        for break_d in _DOUBLING_EDGES:
+            for d_max in _DOUBLING_EDGES:
+                if abs(break_d.bit_length() - d_max.bit_length()) <= 2:
+                    assert (_hybrid_standard_then_sparse(break_d, d_max).dilations
+                            == _standard_then_sparse_reference(break_d, d_max))
+
+    def test_sparse_hybrid_takes_one_step_past_a_head_within_rounding(self):
+        # (2**62 + 1) / 2**62 rounds to 1.0, whose log2 is 0 steps
+        assert _hybrid_standard_then_sparse(2**62, 2**62 + 1).dilations[-2:] == (2**62, 2**62 + 1)
+
+
 class TestInterceptDilations:
     def test_geometric_recovery_256(self):
         s = intercept_dilations(power_fit(slope=-1.0), 9, 256)
