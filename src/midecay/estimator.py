@@ -41,11 +41,8 @@ _BATCH_CELLS = np.iinfo(np.uint16).max + 1
 # symbols per chunk of the rank scan, and the most codes of a dense buffer:
 # chunks of whole rows, or column spans of longer rows, fill one buffer per
 # worker with the codes of one bincount call, _CHUNK / 4 to _CHUNK of them
-# (_tuple_counts), which stays in cache; the unique path sorts its buffer
-# anyway and then merges the buffers' cells, which made a sparse lag of a
-# 1M-token text 2.5x slower at the small size
+# (_tuple_counts), which stays in cache
 _CHUNK = 1 << 18
-_SPARSE_CHUNK = 1 << 22
 
 # a pair costs about 35 ns on the unique path against 2.5 ns on the dense one,
 # so the workers take 16 times fewer symbols each there
@@ -338,31 +335,23 @@ def _gathered_tables(groups: list[np.ndarray], index: tuple[list, dict], k: int,
 
 
 def _unique_cells(groups: list[np.ndarray], k: int, d: int) -> list[np.ndarray]:
-    """The cells [xs, ys, counts] of lag d, sorted by (x, y): the pair codes
-    x*k + y in blocks of _SPARSE_CHUNK codes, each sorted in place in the
-    reused code buffer and run-length coded, and the blocks' cells merged."""
-    # not uint64: merged with int64 it would turn to float64, and older
-    # NumPy's bincount rejects it
+    """The cells [xs, ys, counts] of lag d, sorted by (x, y): every pair code
+    x*k + y of the lag in one buffer (empty when it has no pairs), sorted in
+    place and run-length coded."""
+    # not uint64: NumPy types uint64 with intp as float64, so ys += code
+    # below would raise
     dtype = np.min_scalar_type(k * k - 1) if k <= 1 << 16 else np.int64
-    codes, counts = [], []
-    for block in _codes(groups, k, (d,), _SPARSE_CHUNK, dtype):
-        block.sort()
-        last = np.empty(block.size, dtype=bool)  # the last code of each run
-        np.not_equal(block[1:], block[:-1], out=last[:-1])
-        last[-1] = True
-        ends = np.flatnonzero(last)
-        del last
-        codes.append(block[ends])
-        count = np.empty_like(ends)
-        count[0] = ends[0] + 1
-        np.subtract(ends[1:], ends[:-1], out=count[1:])
-        counts.append(count)
-    if len(codes) == 1:
-        code, count = codes[0], counts[0]
-    else:  # merge the chunks' cells; the empty int64 array stands in for no chunks
-        none = np.zeros(0, dtype=np.int64)
-        code, inverse = np.unique(np.concatenate([none, *codes]), return_inverse=True)
-        count = np.bincount(inverse, weights=np.concatenate([none, *counts])).astype(np.int64)
+    code = next(_codes(groups, k, (d,), sys.maxsize, dtype), np.empty(0, dtype))
+    code.sort()
+    last = np.empty(code.size, dtype=bool)  # the last code of each run
+    np.not_equal(code[1:], code[:-1], out=last[:-1])
+    last[-1:] = True
+    ends = np.flatnonzero(last)
+    del last
+    count = np.empty_like(ends)
+    count[:1] = ends[:1] + 1
+    np.subtract(ends[1:], ends[:-1], out=count[1:])
+    code = code[ends]
     # a scalar divisor in the code's own dtype takes NumPy's fast integer
     # division; intp ranks: _mi_point's bincounts and gathers would each
     # convert narrower ones

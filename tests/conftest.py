@@ -115,6 +115,27 @@ def interleaved_copy_mi(k, p, q, d):
     return kernel_mi(k, q ** (d // p)) if d % p == 0 else 0.0
 
 
+def column_markov_mi(k, stay, d, side=28, first=0.7):
+    """Exact MI in nats of column_markov_stack's pooled lag-d table, the
+    mean of the joints of its side^2 - d positions t. Position (r, j) has the
+    marginal mu_j P^r. A pair m = d / side rows apart in one column has the
+    joint diag(marginal) P^m; any other pair is the product of its two
+    marginals."""
+    p = np.full((k, k), (1 - stay) / (k - 1))
+    np.fill_diagonal(p, stay)
+    mu = np.full((side, k), (1 - first) / (k - 1))
+    mu[np.arange(side), np.arange(side) % k] = first
+    marg = np.stack([mu @ np.linalg.matrix_power(p, r) for r in range(side)]).reshape(-1, k)
+    a, b = marg[: marg.shape[0] - d], marg[d:]
+    if d % side:
+        joint = a.T @ b
+    else:
+        joint = np.diag(a.sum(axis=0)) @ np.linalg.matrix_power(p, d // side)
+    joint /= a.shape[0]
+    indep = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+    return float(np.sum(joint * np.log(joint / indep)))
+
+
 def kernel_mi(k, eigen):
     """MI in nats of the symmetric K-state kernel with the given eigenvalue
     under the uniform marginal: P(same) = (1 + (K-1) eigen)/K, each other
@@ -192,6 +213,23 @@ def tree_forest(k, stays, n_trees, seed=0):
         level += np.where(rng.random(level.size) < stay, 0, rng.integers(1, k, level.size))
         level %= k
     return corpus_from_lists([level], k)
+
+
+def column_markov_stack(k, stay, n, seed=0, side=28, first=0.7):
+    """A seeded (n, side^2) uint8 stack of side x side images whose columns
+    are independent chains down the rows, with markov_chain's symmetric
+    K-state kernel. Row 0 of column j draws from mu_j: probability first on
+    symbol j mod K, the rest spread evenly over the others. One (n, side)
+    draw per row step."""
+    rng = np.random.default_rng(seed)
+    images = np.empty((n, side, side), dtype=np.uint8)
+    home = np.arange(side) % k
+    images[:, 0] = np.where(rng.random((n, side)) < first, home,
+                            (home + rng.integers(1, k, (n, side))) % k)
+    for r in range(1, side):
+        jumps = np.where(rng.random((n, side)) < stay, 0, rng.integers(1, k, (n, side)))
+        images[:, r] = (images[:, r - 1] + jumps) % k
+    return images.reshape(n, side * side)
 
 
 def make_curve(lags, mi, pairs=None, meta=None):

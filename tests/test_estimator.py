@@ -1,6 +1,7 @@
 """Pair counting, plug-in MI, decay curves, lag grids, CSV round trips."""
 
 import contextlib
+import itertools
 import math
 import os
 import subprocess
@@ -32,6 +33,8 @@ from midecay import (
 )
 from midecay import estimator
 from tests.conftest import (
+    column_markov_mi,
+    column_markov_stack,
     corpus_from_lists,
     interleaved_copy,
     interleaved_copy_mi,
@@ -371,8 +374,7 @@ class TestDecayCurve:
         occurring = len({v for s in seqs for v in s})
         for limit in (occurring**2, occurring**2 - 1):
             with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", limit), \
-                    mock.patch.object(estimator, "_CHUNK", chunk), \
-                    mock.patch.object(estimator, "_SPARSE_CHUNK", chunk):
+                    mock.patch.object(estimator, "_CHUNK", chunk):
                 groups, symbols = estimator._ranked_groups(c)
                 (cells,) = plan_cells(groups, symbols.size, (d,))
                 assert joint_dict(c, d) == joint
@@ -611,7 +613,7 @@ class TestDecayCurve:
 
     def test_wide_alphabet_codes_match_oracle(self):
         # K' = 65,537 ranks take uint32 and their pair codes no longer fit in
-        # it; small sparse chunks make every lag merge several chunks' cells
+        # it: the codes are int64, since uint64 ones would make ys += code raise
         rng = np.random.default_rng(21)
         occurring = 65_537
         ranks = [np.concatenate([rng.permutation(occurring), rng.integers(0, occurring, 5000)]),
@@ -619,23 +621,22 @@ class TestDecayCurve:
         seqs = [(2 * r + 1).tolist() for r in ranks]
         c = corpus_from_lists(seqs, 2 * occurring + 2, mode="word")
         grid = LagGrid((1, 2, 2999))
-        with mock.patch.object(estimator, "_SPARSE_CHUNK", 20_000):
-            groups, symbols = estimator._ranked_groups(c)
-            assert symbols.size == occurring and {g.dtype for g in groups} == {np.dtype(np.uint32)}
-            curve = decay_curve(c, grid, EstimatorConfig(min_pair_count=1))
-            for d, mi in zip(grid.lags, curve.mi):
-                joint = naive_pair_counts(seqs, d)
-                assert joint_dict(c, d) == joint
-                # naive_mi's running sum drifts by 1e-11 over 70k cells, so the
-                # oracle here sums exactly rounded terms with fsum
-                n, px, py = sum(joint.values()), Counter(), Counter()
-                for (x, y), k in joint.items():
-                    px[x] += k
-                    py[y] += k
-                exact = math.fsum(k * math.log(k * n / (px[x] * py[y]))
-                                  for (x, y), k in joint.items()) / n
-                assert mi == lag_mi(c, d)
-                assert abs(mi - max(0.0, exact)) < 1e-12
+        groups, symbols = estimator._ranked_groups(c)
+        assert symbols.size == occurring and {g.dtype for g in groups} == {np.dtype(np.uint32)}
+        curve = decay_curve(c, grid, EstimatorConfig(min_pair_count=1))
+        for d, mi in zip(grid.lags, curve.mi):
+            joint = naive_pair_counts(seqs, d)
+            assert joint_dict(c, d) == joint
+            # naive_mi's running sum drifts by 1e-11 over 70k cells, so the
+            # oracle here sums exactly rounded terms with fsum
+            n, px, py = sum(joint.values()), Counter(), Counter()
+            for (x, y), k in joint.items():
+                px[x] += k
+                py[y] += k
+            exact = math.fsum(k * math.log(k * n / (px[x] * py[y]))
+                              for (x, y), k in joint.items()) / n
+            assert mi == lag_mi(c, d)
+            assert abs(mi - max(0.0, exact)) < 1e-12
 
     def test_sparse_counting_path_matches_naive(self):
         # more than 1,024 symbols occur, so K'^2 passes DENSE_JOINT_LIMIT and
@@ -648,6 +649,47 @@ class TestDecayCurve:
         assert joint_dict(c, 2) == naive_pair_counts(seqs, 2)
         expected = naive_mi(naive_pair_counts(seqs, 2))
         assert abs(lag_mi(c, 2) - expected) < 1e-12
+
+    def test_sparse_lag_is_one_buffer_of_its_codes(self):
+        # 4.5M pairs, past the 2^22 codes the sorted path once took per
+        # block: the lag holds its codes (uint32, as K'^2 - 1 needs), their
+        # 1-byte run mask and at most three 8-byte arrays of its cells, of
+        # which there are at most K'^2; a merge of blocks held more
+        n, k = 4_500_000, 1_100
+        ids = np.random.default_rng(23).integers(0, k, n).astype(np.uint16)
+        c = Corpus(sequences=(ids,), alphabet_size=k, mode="word")
+        assert k * k > estimator.DENSE_JOINT_LIMIT
+        tracemalloc.start()
+        try:
+            sparse = decay_curve(c, LagGrid((3,)), ONE_PAIR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (4 + 1) + 3 * 8 * k * k
+        with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", k * k):
+            dense = decay_curve(c, LagGrid((3,)), ONE_PAIR)
+        assert sparse.pairs.tolist() == [n - 3]
+        assert sparse.mi.tolist() == dense.mi.tolist()
+
+    def test_sparse_lags_with_no_pairs(self):
+        # rows of 1,200 and 900 tokens over 1,100 occurring symbols: lag 1000
+        # has pairs in the first row only, lags 1200 and 5000 in neither
+        rng = np.random.default_rng(24)
+        seqs = [np.concatenate([rng.permutation(1_100), rng.integers(0, 1_100, 100)]),
+                rng.integers(0, 1_100, 900)]
+        c = corpus_from_lists(seqs, 1_100, mode="word")
+        groups, symbols = estimator._ranked_groups(c)
+        assert symbols.size ** 2 > estimator.DENSE_JOINT_LIMIT
+        xs, ys, cs = estimator._unique_cells(groups, symbols.size, 1_200)
+        assert xs.size == ys.size == cs.size == 0
+        assert xs.dtype == ys.dtype == np.intp and cs.dtype == np.int64
+        curve = decay_curve(c, LagGrid((1, 1_000, 1_200, 5_000)), ONE_PAIR)
+        assert curve.lags.tolist() == [1, 1_000]
+        assert curve.pairs.tolist() == [2_098, 200]
+        assert curve.meta["skipped_lags"] == [{"lag": 1_200, "pair_count": 0},
+                                              {"lag": 5_000, "pair_count": 0}]
+        with pytest.raises(EmptyLagError):
+            decay_curve(c, LagGrid((1_200, 5_000)), ONE_PAIR)
 
     @pytest.mark.parametrize("k", [40, 1500])
     def test_cell_ranks_are_intp_on_both_reductions(self, k):
@@ -691,7 +733,6 @@ class TestDecayCurve:
         with mock.patch.object(estimator, "DENSE_JOINT_LIMIT", limit):
             serial = decay_curve(c, grid, config)
             with mock.patch.object(estimator, "_CHUNK", 500), \
-                    mock.patch.object(estimator, "_SPARSE_CHUNK", 500), \
                     mock.patch.object(estimator.os, "sched_getaffinity",
                                       return_value=set(range(8))), \
                     spy.patch():
@@ -1084,6 +1125,43 @@ class TestKnownSource:
             curve = decay_curve(interleaved_copy(4, 7, 0.8, 200_000, seed), grid, ONE_PAIR)
             assert curve.lags.tolist() == list(grid.lags)
             assert np.all(np.abs(curve.mi[exact > 0] / exact[exact > 0] - 1) <= 0.1)
+
+    @pytest.mark.parametrize("k, side, stay", [(2, 2, 0.8), (2, 3, 0.65), (3, 2, 0.9)])
+    def test_column_markov_mi_is_the_mean_of_its_position_joints(self, k, side, stay):
+        # every image of a tiny stack with its probability, mu_j of row 0
+        # times the kernel down each column; each pools its pairs (t, t + d)
+        # with weight 1 / (L - d)
+        size = side * side
+
+        def kernel(x, y):
+            return stay if x == y else (1 - stay) / (k - 1)
+
+        joints = [Counter() for _ in range(size)]
+        for image in itertools.product(range(k), repeat=size):
+            prob = math.prod(0.7 if image[j] == j % k else 0.3 / (k - 1) for j in range(side))
+            prob *= math.prod(kernel(image[t - side], image[t]) for t in range(side, size))
+            for d in range(1, size):
+                for t in range(size - d):
+                    joints[d][image[t], image[t + d]] += prob / (size - d)
+        for d in range(1, size):
+            assert abs(column_markov_mi(k, stay, d, side=side) - naive_mi(joints[d])) < 1e-12
+
+    def test_column_markov_stack_curve_follows_its_exact_mi(self):
+        # K = 4, stay 0.8, 20,000 images (exact MI 1.12e-3 nats at lag 1,
+        # 0.666 at 28, 6.51e-4 at 29, 0.198 at 84, 1.69e-4 at 100): the
+        # largest plug-in error per seed was 0.9-7.8% over seeds 0-9, and
+        # 2.6-7.3% over the seeds 0-4 used here, at most 0.6% at the
+        # multiples of 28. The verdict is not checked
+        lags = (1, 2, 5, 14, 27, 28, 29, 56, 84, 100, 140)
+        exact = np.array([column_markov_mi(4, 0.8, d) for d in lags])
+        column = np.array(lags) % 28 == 0
+        for seed in range(5):
+            stack = column_markov_stack(4, 0.8, 20_000, seed)
+            assert stack.shape == (20_000, 784) and stack.dtype == np.uint8
+            c = Corpus(sequences=(stack,), alphabet_size=4, mode="pixel")
+            errors = decay_curve(c, LagGrid(lags), ONE_PAIR).mi / exact - 1
+            assert np.all(np.abs(errors) <= 0.1)
+            assert np.all(np.abs(errors[column]) <= 0.02)
 
     @pytest.mark.parametrize("quarter", [1, 2, 3])
     def test_wrapped_text_at_its_shift_counts_the_circular_pairs(self, quarter):
