@@ -345,7 +345,7 @@ def _unique_cells(groups: list[np.ndarray], k: int, d: int) -> list[np.ndarray]:
     code.sort()
     last = np.empty(code.size, dtype=bool)  # the last code of each run
     np.not_equal(code[1:], code[:-1], out=last[:-1])
-    last[-1:] = True
+    last[-1:] = True  # slices here: an empty buffer has no last code
     ends = np.flatnonzero(last)
     del last
     count = np.empty_like(ends)

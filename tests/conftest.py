@@ -115,7 +115,7 @@ def interleaved_copy_mi(k, p, q, d):
     return kernel_mi(k, q ** (d // p)) if d % p == 0 else 0.0
 
 
-def column_markov_mi(k, stay, d, side=28, first=0.7):
+def column_markov_mi(k, stay, d, side=28):
     """Exact MI in nats of column_markov_stack's pooled lag-d table, the
     mean of the joints of its side^2 - d positions t. Position (r, j) has the
     marginal mu_j P^r. A pair m = d / side rows apart in one column has the
@@ -123,8 +123,8 @@ def column_markov_mi(k, stay, d, side=28, first=0.7):
     marginals."""
     p = np.full((k, k), (1 - stay) / (k - 1))
     np.fill_diagonal(p, stay)
-    mu = np.full((side, k), (1 - first) / (k - 1))
-    mu[np.arange(side), np.arange(side) % k] = first
+    mu = np.full((side, k), 0.3 / (k - 1))
+    mu[np.arange(side), np.arange(side) % k] = 0.7
     marg = np.stack([mu @ np.linalg.matrix_power(p, r) for r in range(side)]).reshape(-1, k)
     a, b = marg[: marg.shape[0] - d], marg[d:]
     if d % side:
@@ -215,16 +215,16 @@ def tree_forest(k, stays, n_trees, seed=0):
     return corpus_from_lists([level], k)
 
 
-def column_markov_stack(k, stay, n, seed=0, side=28, first=0.7):
+def column_markov_stack(k, stay, n, seed=0, side=28):
     """A seeded (n, side^2) uint8 stack of side x side images whose columns
     are independent chains down the rows, with markov_chain's symmetric
-    K-state kernel. Row 0 of column j draws from mu_j: probability first on
-    symbol j mod K, the rest spread evenly over the others. One (n, side)
-    draw per row step."""
+    K-state kernel. Row 0 of column j draws from mu_j: 0.7 on symbol j mod
+    K, the rest spread evenly over the others. One (n, side) draw per row
+    step."""
     rng = np.random.default_rng(seed)
     images = np.empty((n, side, side), dtype=np.uint8)
     home = np.arange(side) % k
-    images[:, 0] = np.where(rng.random((n, side)) < first, home,
+    images[:, 0] = np.where(rng.random((n, side)) < 0.7, home,
                             (home + rng.integers(1, k, (n, side))) % k)
     for r in range(1, side):
         jumps = np.where(rng.random((n, side)) < stay, 0, rng.integers(1, k, (n, side)))
